@@ -21,9 +21,8 @@ from .model import (NO, UNDEFINED, UNKNOWN, YES, BadK, BudgetExceeded,
                     NotIdempotent, OrderResult, PropertyReport, TransitionGraph,
                     Transformation, Verdict, compose, fixtures, format_word,
                     identity_map, letter_name)
-from .oracle import (DEFAULT_BUDGET, DEFAULT_K_MAX, DEFAULT_T_MAX, KProfile,
-                     OracleResult, ProfileAutomaton, brute_force_scan, profile_of,
-                     profile_determines)
+from .oracle import (DEFAULT_BUDGET, DEFAULT_K_MAX, KProfile, OracleResult,
+                     ProfileAutomaton, brute_force_scan, profile_of, profile_determines)
 from .products import graph_direct_product, graph_power, semigroup_direct_product
 from .scc import strongly_connected_components
 from .semigroups import (ALL_PROPERTIES, APERIODICITY, ASSOCIATIVITY,
@@ -32,9 +31,9 @@ from .semigroups import (ALL_PROPERTIES, APERIODICITY, ASSOCIATIVITY,
                          RIGHT_LOCAL_TESTABILITY, STRICT_LOCAL_TESTABILITY,
                          THRESHOLD_LOCAL_TESTABILITY, analyze_semigroup,
                          check_associativity, check_generator_testability,
-                         check_local_property, close_cayley, idempotents,
-                         is_aperiodic, is_piecewise_testable,
-                         is_threshold_locally_testable, j_classes, local_submonoid)
+                         check_local_property, idempotents, is_aperiodic,
+                         is_piecewise_testable, is_threshold_locally_testable,
+                         j_classes, local_submonoid)
 from .semigroups import order_of_local_testability as semigroup_order_of_local_testability
 
 __version__ = "0.1.0"
@@ -42,8 +41,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_PROPERTIES", "APERIODICITY", "ASSOCIATIVITY", "BadK", "BadToken",
     "BudgetExceeded", "CellOutOfRange", "DEFAULT_BUDGET", "DEFAULT_K_MAX",
-    "DEFAULT_T_MAX", "FiniteSemigroup", "HeaderInconsistent", "IncompleteInput",
-    "KProfile", "K_TESTABILITY", "LEFT_LOCAL_TESTABILITY", "LOCAL_IDEMPOTENCE",
+    "FiniteSemigroup", "HeaderInconsistent", "IncompleteInput", "KProfile",
+    "K_TESTABILITY", "LEFT_LOCAL_TESTABILITY", "LOCAL_IDEMPOTENCE",
     "LOCAL_PROPERTIES", "LOCAL_TESTABILITY", "NO", "NonpositiveHeader",
     "NotAssociative", "NotGenerated", "NotIdempotent", "ONE_TESTABILITY",
     "OracleResult", "OrderResult", "PIECEWISE_TESTABILITY", "ParseError",
@@ -52,15 +51,13 @@ __all__ = [
     "TransitionGraph", "TransitionSemigroup", "Transformation", "UNDEFINED",
     "UNKNOWN", "Verdict", "YES", "analyze_graph", "analyze_semigroup",
     "brute_force_scan", "check_associativity", "check_generator_testability",
-    "check_local_property", "close_cayley", "compose", "complete_with_sink",
-    "fixtures", "format_word", "graph_direct_product",
-    "graph_order_of_local_testability", "graph_power", "graph_property",
-    "identity_map", "idempotents", "is_1_testable", "is_aperiodic",
-    "is_k_testable", "is_piecewise_testable", "is_threshold_locally_testable",
-    "j_classes", "letter_name", "letter_transformations", "local_submonoid",
-    "parse_graph",
-    "parse_semigroup", "profile_determines", "profile_of", "render_report",
-    "semigroup_direct_product", "semigroup_order_of_local_testability",
-    "strongly_connected_components", "transition_semigroup", "write_graph",
-    "write_semigroup",
+    "check_local_property", "compose", "complete_with_sink", "fixtures",
+    "format_word", "graph_direct_product", "graph_order_of_local_testability",
+    "graph_power", "graph_property", "identity_map", "idempotents", "is_1_testable",
+    "is_aperiodic", "is_k_testable", "is_piecewise_testable",
+    "is_threshold_locally_testable", "j_classes", "letter_name",
+    "letter_transformations", "local_submonoid", "parse_graph", "parse_semigroup",
+    "profile_determines", "profile_of", "render_report", "semigroup_direct_product",
+    "semigroup_order_of_local_testability", "strongly_connected_components",
+    "transition_semigroup", "write_graph", "write_semigroup",
 ]

@@ -46,9 +46,7 @@ def _props_arg(text: str):
             raise argparse.ArgumentTypeError(
                 f"unknown property {name!r} (choose from "
                 f"{', '.join(PROP_NAMES)}, or all)")
-        prop = PROP_NAMES[name]
-        if prop not in props:
-            props.append(prop)
+        props.append(PROP_NAMES[name])
     return tuple(props)
 
 

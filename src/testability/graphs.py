@@ -16,7 +16,8 @@ from .model import (NO, UNKNOWN, YES, FiniteSemigroup, IncompleteInput, OrderRes
                     PropertyReport, TransitionGraph, Transformation, UNDEFINED,
                     Verdict, compose, format_word, identity_map, letter_name)
 from .oracle import DEFAULT_BUDGET, DEFAULT_K_MAX, profile_determines
-from .semigroups import (ONE_TESTABILITY, PROPERTY_CHECKS, _resolve_properties)
+from .semigroups import (ONE_TESTABILITY, PROPERTY_CHECKS, _order_search,
+                         _resolve_properties)
 
 K_TESTABILITY = "k_testability"
 
@@ -160,25 +161,8 @@ def is_k_testable(gr: TransitionGraph, k: int, *, t: int = 1,
 
 def order_of_local_testability(gr: TransitionGraph, k_max: int = DEFAULT_K_MAX, *,
                                t: int = 1, budget: int = DEFAULT_BUDGET) -> OrderResult:
-    """Least window length k <= k_max whose profiles determine the action.
-
-    Window lengths are tried in increasing order, so a "found" result
-    also proves every smaller k fails; ``largest_failing`` reports the
-    failure bound established on the way.
-    """
-    initial, step = _action(gr)
-    last = 0
-    for k in range(1, k_max + 1):
-        res = profile_determines(initial, step, gr.alphabet_size, k, t, budget)
-        last = res.states
-        if res.status == "yes":
-            return OrderResult("found", k, t, k_max, k - 1, res.states,
-                               f"profile oracle succeeds at k={k}")
-        if res.status == "unknown":
-            return OrderResult("unknown", None, t, k_max, k - 1, res.states,
-                               f"budget exceeded at k={k}")
-    return OrderResult("none", None, t, k_max, k_max, last,
-                       f"every k up to {k_max} fails")
+    """Least window length k <= k_max whose profiles determine the action."""
+    return _order_search(*_action(gr), gr.alphabet_size, k_max, t, budget)
 
 
 def _with_witness_words(v: Verdict, ts: TransitionSemigroup) -> Verdict:
@@ -189,17 +173,10 @@ def _with_witness_words(v: Verdict, ts: TransitionSemigroup) -> Verdict:
     return replace(v, detail=f"{v.detail}; {note}" if v.detail else note)
 
 
-def _semigroup_property(ts: TransitionSemigroup, prop: str) -> Verdict:
-    return _with_witness_words(PROPERTY_CHECKS[prop](ts.semigroup), ts)
-
-
 def graph_property(gr: TransitionGraph, prop: str) -> Verdict:
     """One property verdict; algebraic properties go through the
     transition semigroup, with witnesses translated back into words."""
-    gr = complete_with_sink(gr)
-    if prop == ONE_TESTABILITY:
-        return is_1_testable(gr)
-    return _semigroup_property(transition_semigroup(gr), prop)
+    return analyze_graph(gr, (prop,)).verdicts[0]
 
 
 def analyze_graph(gr: TransitionGraph, properties=None, *, order: bool = False,
@@ -222,7 +199,7 @@ def analyze_graph(gr: TransitionGraph, properties=None, *, order: bool = False,
             continue
         if ts is None:
             ts = transition_semigroup(completed)
-        verdicts.append(_semigroup_property(ts, p))
+        verdicts.append(_with_witness_words(PROPERTY_CHECKS[p](ts.semigroup), ts))
     if k is not None:
         verdicts.append(is_k_testable(completed, k, t=t, budget=budget))
     order_result = None

@@ -140,11 +140,12 @@ class FiniteSemigroup:
     The full product table is derived from the rows on demand.  A row
     x*y for all y is filled in one pass over the discovery order, since
     x*(z*g) = (x*z)*g; ``product`` materializes the whole table.
-    Instances are immutable apart from this internal cache.
+    Instances are immutable apart from this cache and the stored
+    verdict of Light's associativity test.
     """
 
     __slots__ = ("element_count", "generator_count", "cayley", "factorization",
-                 "_order", "_parent", "_rows", "_table")
+                 "_order", "_parent", "_rows", "_table", "_associativity")
 
     def __init__(self, rows):
         rows = tuple(tuple(int(c) for c in row) for row in rows)
@@ -189,6 +190,7 @@ class FiniteSemigroup:
         self._parent = tuple(parent)
         self._rows: dict[int, list[int]] = {}
         self._table: tuple[tuple[int, ...], ...] | None = None
+        self._associativity = None  # Light's test verdict, set by check_associativity
 
     def row(self, x: int) -> list[int]:
         """The full row x*y for every y.  Computed once, then cached."""

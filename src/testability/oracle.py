@@ -24,7 +24,6 @@ from itertools import product as iter_product
 from .model import BadK, BudgetExceeded
 
 DEFAULT_K_MAX = 8
-DEFAULT_T_MAX = 3
 DEFAULT_BUDGET = 10**6
 
 
@@ -92,7 +91,6 @@ class ProfileAutomaton:
         start = profile_of((), k, t)
         self._profiles: list[KProfile] = [start]
         self._ids: dict[KProfile, int] = {start: 0}
-        self._steps: dict[tuple[int, int], int] = {}
 
     @property
     def start(self) -> int:
@@ -106,18 +104,14 @@ class ProfileAutomaton:
         return self._profiles[pid]
 
     def step(self, pid: int, letter: int) -> int:
-        key = (pid, letter)
-        nid = self._steps.get(key)
+        target = self._profiles[pid].extend(letter)
+        nid = self._ids.get(target)
         if nid is None:
-            target = self._profiles[pid].extend(letter)
-            nid = self._ids.get(target)
-            if nid is None:
-                if len(self._profiles) >= self.budget:
-                    raise BudgetExceeded(len(self._profiles))
-                nid = len(self._profiles)
-                self._profiles.append(target)
-                self._ids[target] = nid
-            self._steps[key] = nid
+            if len(self._profiles) >= self.budget:
+                raise BudgetExceeded(len(self._profiles))
+            nid = len(self._profiles)
+            self._profiles.append(target)
+            self._ids[target] = nid
         return nid
 
 

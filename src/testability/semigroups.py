@@ -43,13 +43,15 @@ ALL_PROPERTIES = (ASSOCIATIVITY, APERIODICITY, LOCAL_IDEMPOTENCE, LOCAL_TESTABIL
                   PIECEWISE_TESTABILITY, ONE_TESTABILITY)
 
 
-def close_cayley(rows) -> FiniteSemigroup:
-    """Close Cayley rows into a semigroup value; raises NotGenerated."""
-    return FiniteSemigroup(rows)
-
-
 def check_associativity(s: FiniteSemigroup) -> Verdict:
-    """Light's test: (x*g)*y == x*(g*y) for all x, y and generators g."""
+    """Light's test, run once per value: the verdict is kept on ``s``."""
+    if s._associativity is None:
+        s._associativity = _lights_test(s)
+    return s._associativity
+
+
+def _lights_test(s: FiniteSemigroup) -> Verdict:
+    """(x*g)*y == x*(g*y) for all x, y and generators g."""
     n = s.element_count
     cayley = s.cayley
     for x in range(n):
@@ -233,24 +235,35 @@ def _generator_fold(s: FiniteSemigroup):
     return None, step
 
 
+def _order_search(initial, step, letters: int, k_max: int, t: int,
+                  budget: int) -> OrderResult:
+    """Least window length k <= k_max whose k-profile determines the
+    value the fold (initial, step) gives every word over ``letters``.
+
+    Window lengths are tried in increasing order, so a "found" result
+    also proves every smaller k fails; ``largest_failing`` reports the
+    failure bound established on the way.
+    """
+    states = 0
+    for k in range(1, k_max + 1):
+        res = profile_determines(initial, step, letters, k, t, budget)
+        states = res.states
+        if res.status == "yes":
+            return OrderResult("found", k, t, k_max, k - 1, states,
+                               f"profile oracle succeeds at k={k}")
+        if res.status == "unknown":
+            return OrderResult("unknown", None, t, k_max, k - 1, states,
+                               f"budget exceeded at k={k}")
+    return OrderResult("none", None, t, k_max, k_max, states,
+                       f"every k up to {k_max} fails")
+
+
 def order_of_local_testability(s: FiniteSemigroup, k_max: int = DEFAULT_K_MAX,
                                budget: int = DEFAULT_BUDGET) -> OrderResult:
     """Least k <= k_max whose k-profile determines the value of every
     generator word, found by running the profile oracle on the fold
     start -> generator -> x*generator."""
-    initial, step = _generator_fold(s)
-    last_states = 0
-    for k in range(1, k_max + 1):
-        res = profile_determines(initial, step, s.generator_count, k, 1, budget)
-        last_states = res.states
-        if res.status == "yes":
-            return OrderResult("found", k, 1, k_max, k - 1, res.states,
-                               f"profile oracle succeeds at k={k}")
-        if res.status == "unknown":
-            return OrderResult("unknown", None, 1, k_max, k - 1, res.states,
-                               f"budget exceeded at k={k}")
-    return OrderResult("none", None, 1, k_max, k_max, last_states,
-                       f"every k up to {k_max} fails")
+    return _order_search(*_generator_fold(s), s.generator_count, k_max, 1, budget)
 
 
 def _local_check(prop):

@@ -7,13 +7,14 @@ import pytest
 
 from testability import (
     ALL_PROPERTIES,
+    ASSOCIATIVITY,
     LOCAL_PROPERTIES,
+    FiniteSemigroup,
     NotIdempotent,
     analyze_semigroup,
     check_associativity,
     check_generator_testability,
     check_local_property,
-    close_cayley,
     fixtures,
     idempotents,
     is_aperiodic,
@@ -21,8 +22,11 @@ from testability import (
     is_threshold_locally_testable,
     j_classes,
     local_submonoid,
+    parse_semigroup,
     semigroup_order_of_local_testability as order_of,
+    write_semigroup,
 )
+from testability import semigroups
 from testability.oracle import brute_force_scan, profile_determines
 from testability.semigroups import (
     LEFT_LOCAL_TESTABILITY,
@@ -57,18 +61,13 @@ def table_of(i: int):
     return naive.product_table(CORPUS[i].cayley)
 
 
-def test_close_cayley_is_the_constructor():
-    s = close_cayley(((1,), (0,)))
-    assert s == FIX.Z2
-
-
 def test_fixtures_pass_lights_test():
     for s in (FIX.U1, FIX.LZ2, FIX.Z2):
         assert check_associativity(s).holds == "yes"
 
 
 def test_nonassociative_table_and_witness():
-    s = close_cayley(((1, 0), (0, 0)))
+    s = FiniteSemigroup(((1, 0), (0, 0)))
     v = check_associativity(s)
     assert v.holds == "no"
     assert v.witness == (0, 0, 1)
@@ -77,6 +76,23 @@ def test_nonassociative_table_and_witness():
     x, g, y = v.witness
     c = s.cayley
     assert c[c[x][g]][y] != c[x][c[g][y]]
+
+
+def test_analysis_reports_nonassociative_table():
+    v = analyze_semigroup(FiniteSemigroup(((1, 0), (0, 0)))).verdict(ASSOCIATIVITY)
+    assert (v.holds, v.witness) == ("no", (0, 0, 1))
+
+
+def test_lights_scan_runs_once_per_value(monkeypatch):
+    scanned = []
+    scan = semigroups._lights_test
+    monkeypatch.setattr(semigroups, "_lights_test",
+                        lambda s: scanned.append(s) or scan(s))
+    s = parse_semigroup(write_semigroup(rectangular_band(2, 3)))
+    report = analyze_semigroup(s)
+    assert scanned == [s]
+    assert report.verdict(ASSOCIATIVITY) is check_associativity(s)
+    assert scanned == [s]
 
 
 def test_idempotents():
