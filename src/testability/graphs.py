@@ -16,7 +16,7 @@ from .model import (NO, UNKNOWN, YES, FiniteSemigroup, IncompleteInput, OrderRes
                     PropertyReport, TransitionGraph, Transformation, UNDEFINED,
                     Verdict, compose, format_word, identity_map, letter_name)
 from .oracle import DEFAULT_BUDGET, DEFAULT_K_MAX, profile_determines
-from .semigroups import (ONE_TESTABILITY, PROPERTY_CHECKS, _order_search,
+from .semigroups import (ASSOCIATIVITY, ONE_TESTABILITY, _check, _order_search,
                          _resolve_properties)
 
 K_TESTABILITY = "k_testability"
@@ -100,6 +100,8 @@ def transition_semigroup(gr: TransitionGraph) -> TransitionSemigroup:
         rows.append(row)
         qi += 1
     sg = FiniteSemigroup(rows)
+    # Composition of maps is associative, so Light's test is skipped.
+    sg._associativity = Verdict(ASSOCIATIVITY, YES)
     return TransitionSemigroup(sg, tuple(label_to_gen), tuple(elements),
                                tuple(gen_letters))
 
@@ -193,13 +195,14 @@ def analyze_graph(gr: TransitionGraph, properties=None, *, order: bool = False,
     props = _resolve_properties(properties)
     ts = None
     verdicts = []
+    done: dict = {}
     for p in props:
         if p == ONE_TESTABILITY:
             verdicts.append(is_1_testable(completed))
             continue
         if ts is None:
             ts = transition_semigroup(completed)
-        verdicts.append(_with_witness_words(PROPERTY_CHECKS[p](ts.semigroup), ts))
+        verdicts.append(_with_witness_words(_check(ts.semigroup, p, done), ts))
     if k is not None:
         verdicts.append(is_k_testable(completed, k, t=t, budget=budget))
     order_result = None

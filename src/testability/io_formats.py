@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 
 from .model import (NO, UNKNOWN, FiniteSemigroup, NotAssociative, PropertyReport,
-                    TransitionGraph, UNDEFINED, Verdict, format_word)
+                    TransitionGraph, UNDEFINED, format_word)
 from .semigroups import check_associativity
 
 

@@ -18,7 +18,9 @@ reproducible run to run.  The properties decided here:
 
 from __future__ import annotations
 
-from .model import (NO, UNKNOWN, YES, FiniteSemigroup, NotIdempotent, OrderResult,
+from dataclasses import replace
+
+from .model import (NO, YES, FiniteSemigroup, NotIdempotent, OrderResult,
                     PropertyReport, Verdict)
 from .oracle import DEFAULT_BUDGET, DEFAULT_K_MAX, profile_determines
 from .scc import strongly_connected_components
@@ -134,37 +136,85 @@ def is_aperiodic(s: FiniteSemigroup) -> Verdict:
 def is_threshold_locally_testable(s: FiniteSemigroup) -> Verdict:
     """Aperiodicity plus e x f u e y f = e y f u e x f over idempotents e, f.
 
-    Only the first x reaching each distinct value e*x*f can be part of a
-    least witness, so the scan runs over those representatives; the
-    winning tuple is still the lexicographically least (e, f, x, u, y).
+    For one pair (e, f) the identity says p*u*q = q*u*p for all p, q in
+    eSf and u in S.  Three reductions make each pair cheap:
+
+    - u ranges over fSe only: p = exf gives p = p*f and q = eyf gives
+      q = e*q, so p*u*q = p*(f*u*e)*q.
+    - Only pairs p < q are compared: the identity is symmetric in p and
+      q, and trivial when p = q.
+    - eSf = e*(Sf) = (eS)*f depends only on the sets eS and Sf, that is
+      on the R-class of e and the L-class of f, and whether the identity
+      holds depends only on eSf; a class pair that passed is not
+      scanned again.
+
+    Pairs (e, f) are visited in ascending order, so the first failing
+    class pair belongs to the least failing (e, f), and only that pair
+    is rescanned over all u in S for the lexicographically least
+    (e, f, x, u, y).
     """
     aperiodic = is_aperiodic(s)
     if aperiodic.holds == NO:
         return Verdict(THRESHOLD_LOCAL_TESTABILITY, NO, aperiodic.witness,
                        "not aperiodic: " + aperiodic.detail)
     n = s.element_count
+    row = s.row
     idem = idempotents(s)
-    for e in idem:
-        row_e = s.row(e)
-        for f in idem:
-            sandwich = [s.row(v)[f] for v in row_e]
-            firsts = []
-            taken = set()
-            for x, p in enumerate(sandwich):
-                if p not in taken:
-                    taken.add(p)
-                    firsts.append((x, p))
-            for x, p in firsts:
-                row_p = s.row(p)
-                for u in range(n):
-                    row_pu = s.row(row_p[u])
-                    for y, q in firsts:
-                        if row_pu[q] != s.row(s.row(q)[u])[p]:
-                            return Verdict(
-                                THRESHOLD_LOCAL_TESTABILITY, NO, (e, f, x, u, y),
-                                f"e={e}, f={f}: exf*u*eyf != eyf*u*exf "
-                                f"at x={x}, u={u}, y={y}")
+    r_ids: dict[frozenset, int] = {}
+    l_ids: dict[frozenset, int] = {}
+    r_class = [r_ids.setdefault(frozenset(row(e)), len(r_ids)) for e in idem]
+    l_class = [l_ids.setdefault(frozenset(row(x)[f] for x in range(n)), len(l_ids))
+               for f in idem]
+    passed = set()
+    for e, r in zip(idem, r_class):
+        for f, l in zip(idem, l_class):
+            if (r, l) in passed:
+                continue
+            if not _sandwich_identity_holds(s, e, f):
+                return _least_sandwich_witness(s, e, f)
+            passed.add((r, l))
     return Verdict(THRESHOLD_LOCAL_TESTABILITY, YES)
+
+
+def _sandwich_identity_holds(s: FiniteSemigroup, e: int, f: int) -> bool:
+    """p*w*q == q*w*p for all p < q in eSf and w in fSe."""
+    row = s.row
+    esf = list({row(v)[f] for v in set(row(e))})
+    fse = {row(v)[e] for v in set(row(f))}
+    for w in fse:
+        pw_rows = [row(row(p)[w]) for p in esf]
+        for a, p in enumerate(esf):
+            row_pw = pw_rows[a]
+            for b in range(a + 1, len(esf)):
+                if row_pw[esf[b]] != pw_rows[b][p]:
+                    return False
+    return True
+
+
+def _least_sandwich_witness(s: FiniteSemigroup, e: int, f: int) -> Verdict:
+    """The least (x, u, y) breaking the identity at a failing pair (e, f).
+
+    Only the first x reaching each distinct value e*x*f can be part of a
+    least witness, so x and y run over those representatives.
+    """
+    sandwich = [s.row(v)[f] for v in s.row(e)]
+    firsts = []
+    taken = set()
+    for x, p in enumerate(sandwich):
+        if p not in taken:
+            taken.add(p)
+            firsts.append((x, p))
+    for x, p in firsts:
+        row_p = s.row(p)
+        for u in range(s.element_count):
+            row_pu = s.row(row_p[u])
+            for y, q in firsts:
+                if row_pu[q] != s.row(s.row(q)[u])[p]:
+                    return Verdict(
+                        THRESHOLD_LOCAL_TESTABILITY, NO, (e, f, x, u, y),
+                        f"e={e}, f={f}: exf*u*eyf != eyf*u*exf "
+                        f"at x={x}, u={u}, y={y}")
+    raise AssertionError(f"e={e}, f={f} fails on fSe but not on S")
 
 
 def _identity_element(s: FiniteSemigroup) -> int | None:
@@ -284,6 +334,20 @@ PROPERTY_CHECKS = {
 }
 
 
+# Properties decided by one and the same scan, under different names.
+_SAME_SCAN = {LOCAL_TESTABILITY: STRICT_LOCAL_TESTABILITY,
+              STRICT_LOCAL_TESTABILITY: LOCAL_TESTABILITY}
+
+
+def _check(s: FiniteSemigroup, prop: str, done: dict) -> Verdict:
+    """PROPERTY_CHECKS[prop](s), renaming the verdict already in ``done``
+    when a property with the same scan was checked; records the result."""
+    twin = done.get(_SAME_SCAN.get(prop))
+    v = PROPERTY_CHECKS[prop](s) if twin is None else replace(twin, property=prop)
+    done[prop] = v
+    return v
+
+
 def _resolve_properties(properties) -> tuple[str, ...]:
     if properties is None:
         return ALL_PROPERTIES
@@ -301,7 +365,8 @@ def analyze_semigroup(s: FiniteSemigroup, properties=None, *, order: bool = Fals
                       source: str = "") -> PropertyReport:
     """Run the requested checks (all of them by default) on one semigroup."""
     props = _resolve_properties(properties)
-    verdicts = tuple(PROPERTY_CHECKS[p](s) for p in props)
+    done: dict = {}
+    verdicts = tuple(_check(s, p, done) for p in props)
     order_result = None
     stats = {"elements": s.element_count, "generators": s.generator_count}
     if order:

@@ -76,3 +76,30 @@ def small_transformation_semigroups(limit: int = 30) -> list[FiniteSemigroup]:
         if s.element_count <= limit:
             out.append(s)
     return out
+
+
+# Two-letter DFAs on 3-5 nodes whose transition semigroups (at most 14
+# elements) are aperiodic but break e x f u e y f = e y f u e x f, so the
+# threshold check fails on the identity, not on aperiodicity.  Picked
+# from a scan of 1,500 graphs drawn with seeded("ltt-identity"), one per
+# distinct semigroup.
+LTT_IDENTITY_FAILURE_GRAPHS = (
+    ((0, 3), (1, 1), (2, 2), (1, 2)),
+    ((0, 2), (2, 1), (0, 1), (3, 1)),
+    ((1, 0), (2, 0), (2, 1)),
+    ((1, 3), (2, 1), (2, 2), (0, 3)),
+    ((0, 2), (0, 3), (0, 1), (2, 3)),
+    ((1, 1), (2, 3), (2, 0), (1, 3)),
+)
+
+# An aperiodic two-letter DFA on 5 nodes (26-element semigroup, from
+# seeded("ltt-pairs")) with idempotent pairs (e, f), such as (3, 19),
+# where e x f u e y f = e y f u e x f holds for all u in eSf but fails
+# for some u in fSe.
+SANDWICH_PAIR_GRAPH = ((0, 4), (2, 4), (2, 2), (4, 2), (1, 3))
+
+
+def ltt_identity_failures() -> list[FiniteSemigroup]:
+    """Transition semigroups of LTT_IDENTITY_FAILURE_GRAPHS."""
+    return [transition_semigroup(TransitionGraph(2, len(delta), delta)).semigroup
+            for delta in LTT_IDENTITY_FAILURE_GRAPHS]

@@ -28,6 +28,7 @@ from testability import (
     THRESHOLD_LOCAL_TESTABILITY,
     TransitionGraph,
     YES,
+    analyze_semigroup,
     fixtures,
     graph_direct_product,
     graph_order_of_local_testability,
@@ -46,7 +47,7 @@ from testability import (
 from testability.cli import main
 from testability.semigroups import PROPERTY_CHECKS
 from tests import naive
-from tests.corpus import (cyclic_group, random_dfas, random_graph,
+from tests.corpus import (cyclic_group, min_chain, random_dfas, random_graph,
                           rectangular_band, seeded)
 
 FIX = fixtures()
@@ -366,3 +367,22 @@ def test_criterion_8_capacity(tmp_path):
     assert gr_elapsed < 120.0
     print(f"PASS criterion 8: n=500 semigroup analyzed in {sg_elapsed:.1f}s "
           f"< 60s; g=200 graph in {gr_elapsed:.1f}s < 120s")
+
+
+def test_criterion_9_worst_case_yes_instance():
+    # 300 elements, all idempotent: a 5x5 rectangular band times a
+    # 12-element chain.  Nothing fails early, so every check runs its
+    # full scan; the verdicts follow from the factors (bands are
+    # aperiodic, eSe is trivial in a rectangular band and commutative in
+    # a chain), while the band's non-singleton J-classes and
+    # non-commuting generators break the last two properties.
+    s = semigroup_direct_product(rectangular_band(5, 5), min_chain(12))
+    assert s.element_count == 300
+    t0 = time.perf_counter()
+    report = analyze_semigroup(s)
+    elapsed = time.perf_counter() - t0
+    got = {v.property: v.holds for v in report.verdicts}
+    assert got == {p: NO if p in (PIECEWISE_TESTABILITY, ONE_TESTABILITY) else YES
+                   for p in ALL_PROPERTIES}
+    assert elapsed < 30.0
+    print(f"PASS criterion 9: n=300 yes-instance analyzed in {elapsed:.1f}s < 30s")

@@ -20,7 +20,8 @@ from testability import (
     strongly_connected_components,
     transition_semigroup,
 )
-from testability.semigroups import (ALL_PROPERTIES, LOCAL_TESTABILITY,
+from testability import semigroups
+from testability.semigroups import (ALL_PROPERTIES, ASSOCIATIVITY, LOCAL_TESTABILITY,
                                     ONE_TESTABILITY, PROPERTY_CHECKS)
 from tests import naive
 from tests.corpus import random_graph, seeded
@@ -182,6 +183,16 @@ def test_strict_alias():
         lt = graph_property(gr, "local_testability")
         slt = graph_property(gr, "strict_local_testability")
         assert (slt.holds, slt.witness, slt.detail) == (lt.holds, lt.witness, lt.detail)
+
+
+def test_transition_semigroup_skips_lights_test(monkeypatch):
+    scanned = []
+    scan = semigroups._lights_test
+    monkeypatch.setattr(semigroups, "_lights_test",
+                        lambda s: scanned.append(s) or scan(s))
+    report = analyze_graph(FIX.D_ab)
+    assert scanned == []
+    assert report.verdict(ASSOCIATIVITY).holds == "yes"
 
 
 def test_analyze_graph_full_map():

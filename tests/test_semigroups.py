@@ -11,6 +11,7 @@ from testability import (
     LOCAL_PROPERTIES,
     FiniteSemigroup,
     NotIdempotent,
+    TransitionGraph,
     analyze_semigroup,
     check_associativity,
     check_generator_testability,
@@ -23,7 +24,9 @@ from testability import (
     j_classes,
     local_submonoid,
     parse_semigroup,
+    semigroup_direct_product,
     semigroup_order_of_local_testability as order_of,
+    transition_semigroup,
     write_semigroup,
 )
 from testability import semigroups
@@ -41,7 +44,10 @@ from testability.semigroups import (
 )
 from tests import naive
 from tests.corpus import (
+    SANDWICH_PAIR_GRAPH,
     cyclic_group,
+    left_zero,
+    ltt_identity_failures,
     min_chain,
     rectangular_band,
     semigroup_zoo,
@@ -207,6 +213,21 @@ def test_analyze_semigroup_report():
     assert report.order.k == 1
 
 
+def test_strict_local_testability_reuses_the_lt_scan(monkeypatch):
+    scanned = []
+    scan = semigroups.check_local_property
+    monkeypatch.setattr(semigroups, "check_local_property",
+                        lambda s, prop: scanned.append(prop) or scan(s, prop))
+    s = cyclic_group(2)
+    for props in ([LOCAL_TESTABILITY, STRICT_LOCAL_TESTABILITY],
+                  [STRICT_LOCAL_TESTABILITY, LOCAL_TESTABILITY]):
+        scanned.clear()
+        lt, slt = analyze_semigroup(s, props).verdicts
+        assert scanned == props[:1]
+        assert (lt.property, slt.property) == tuple(props)
+        assert (lt.holds, lt.witness, lt.detail) == (slt.holds, slt.witness, slt.detail)
+
+
 def test_analyze_semigroup_select_and_dedup():
     report = analyze_semigroup(FIX.Z2, ["aperiodicity", "aperiodicity"])
     assert len(report.verdicts) == 1
@@ -240,6 +261,56 @@ def test_aperiodicity_agrees_with_naive(i):
 def test_threshold_agrees_with_naive(i):
     v = is_threshold_locally_testable(CORPUS[i])
     assert (v.holds, v.witness) == naive.check_ltt(table_of(i))
+
+
+# Aperiodic members that fail the sandwich identity itself, alone and
+# next to a two-element left-zero band, whose equal R-classes make later
+# (e, f) pairs reuse class pairs that already passed.
+LTT_FAILURES = [s for t in ltt_identity_failures()
+                for s in (t, semigroup_direct_product(t, left_zero(2)))]
+LTT_FAILURE_IDS = [f"{i}:n{s.element_count}" for i, s in enumerate(LTT_FAILURES)]
+
+
+@pytest.mark.parametrize("s", LTT_FAILURES, ids=LTT_FAILURE_IDS)
+def test_threshold_identity_failure_agrees_with_naive(s):
+    v = is_threshold_locally_testable(s)
+    assert (v.holds, v.witness) == naive.check_ltt(naive.product_table(s.cayley))
+    assert len(v.witness) == 5
+
+
+def test_sandwich_scan_is_exact_per_pair():
+    members = ltt_identity_failures()
+    members.append(transition_semigroup(
+        TransitionGraph(2, len(SANDWICH_PAIR_GRAPH), SANDWICH_PAIR_GRAPH)).semigroup)
+    for s in members:
+        table = naive.product_table(s.cayley)
+        n = len(table)
+        idem = [e for e in range(n) if table[e][e] == e]
+        for e in idem:
+            for f in idem:
+                esf = {table[table[e][x]][f] for x in range(n)}
+                expect = all(table[table[p][u]][q] == table[table[q][u]][p]
+                             for p in esf for u in range(n) for q in esf)
+                assert semigroups._sandwich_identity_holds(s, e, f) == expect, (e, f)
+    assert not semigroups._sandwich_identity_holds(members[-1], 3, 19)
+
+
+def test_threshold_scans_each_class_pair_once(monkeypatch):
+    scanned = []
+    scan = semigroups._sandwich_identity_holds
+    monkeypatch.setattr(semigroups, "_sandwich_identity_holds",
+                        lambda s, e, f: scanned.append((e, f)) or scan(s, e, f))
+    s = semigroup_direct_product(ltt_identity_failures()[4], left_zero(2))
+    v = is_threshold_locally_testable(s)
+    idem = idempotents(s)
+    e, f = v.witness[:2]
+    visited = idem.index(e) * len(idem) + idem.index(f) + 1
+    assert scanned[-1] == (e, f)
+    assert len(scanned) < visited
+    scanned.clear()
+    square = semigroup_direct_product(rectangular_band(2, 2), min_chain(3))
+    assert is_threshold_locally_testable(square).holds == "yes"
+    assert len(scanned) == 6 * 6 < len(idempotents(square)) ** 2
 
 
 @pytest.mark.parametrize("i", MEMBERS, ids=IDS)
