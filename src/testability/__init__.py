@@ -16,13 +16,13 @@ from .graphs import order_of_local_testability as graph_order_of_local_testabili
 from .io_formats import (BadToken, CellOutOfRange, HeaderInconsistent,
                          NonpositiveHeader, ParseError, TooFewNumbers, parse_graph,
                          parse_semigroup, render_report, write_graph, write_semigroup)
-from .model import (NO, UNDEFINED, UNKNOWN, YES, BadK, BudgetExceeded,
+from .model import (NO, UNDEFINED, UNKNOWN, YES, BadK,
                     FiniteSemigroup, IncompleteInput, NotAssociative, NotGenerated,
                     NotIdempotent, OrderResult, PropertyReport, TransitionGraph,
                     Transformation, Verdict, compose, fixtures, format_word,
                     identity_map, letter_name)
 from .oracle import (DEFAULT_BUDGET, DEFAULT_K_MAX, KProfile, OracleResult,
-                     ProfileAutomaton, brute_force_scan, profile_of, profile_determines)
+                     brute_force_scan, profile_of, profile_determines)
 from .products import graph_direct_product, graph_power, semigroup_direct_product
 from .scc import strongly_connected_components
 from .semigroups import (ALL_PROPERTIES, APERIODICITY, ASSOCIATIVITY,
@@ -40,13 +40,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_PROPERTIES", "APERIODICITY", "ASSOCIATIVITY", "BadK", "BadToken",
-    "BudgetExceeded", "CellOutOfRange", "DEFAULT_BUDGET", "DEFAULT_K_MAX",
+    "CellOutOfRange", "DEFAULT_BUDGET", "DEFAULT_K_MAX",
     "FiniteSemigroup", "HeaderInconsistent", "IncompleteInput", "KProfile",
     "K_TESTABILITY", "LEFT_LOCAL_TESTABILITY", "LOCAL_IDEMPOTENCE",
     "LOCAL_PROPERTIES", "LOCAL_TESTABILITY", "NO", "NonpositiveHeader",
     "NotAssociative", "NotGenerated", "NotIdempotent", "ONE_TESTABILITY",
     "OracleResult", "OrderResult", "PIECEWISE_TESTABILITY", "ParseError",
-    "ProfileAutomaton", "PropertyReport", "RIGHT_LOCAL_TESTABILITY",
+    "PropertyReport", "RIGHT_LOCAL_TESTABILITY",
     "STRICT_LOCAL_TESTABILITY", "THRESHOLD_LOCAL_TESTABILITY", "TooFewNumbers",
     "TransitionGraph", "TransitionSemigroup", "Transformation", "UNDEFINED",
     "UNKNOWN", "Verdict", "YES", "analyze_graph", "analyze_semigroup",

@@ -1,11 +1,14 @@
 """Decision procedures on transition graphs.
 
-A graph is analyzed through two routes that check each other: algebraic
-properties go through its transition semigroup (the closure of the
-letter transformations under composition), while window-size questions
-go through the profile oracle, which pairs every word's k-profile with
-the transformation the word induces.  Partial graphs are completed with
-a sink first; every analysis here assumes and enforces completeness.
+Every check but 1-testability goes through the graph's transition
+semigroup (the closure of the letter transformations under
+composition), built at most once per analysis.  Algebraic properties
+are checked on it directly; window-size questions (a fixed k, or the
+least k) run the profile oracle on words folded over its Cayley rows,
+which gives the verdicts node maps would give, because distinct
+elements are distinct node maps.  1-testability is read off the letter
+maps alone.  Partial graphs are completed with a sink first; every
+analysis here assumes and enforces completeness.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from dataclasses import dataclass, replace
 
 from .model import (NO, UNKNOWN, YES, FiniteSemigroup, IncompleteInput, OrderResult,
                     PropertyReport, TransitionGraph, Transformation, UNDEFINED,
-                    Verdict, compose, format_word, identity_map, letter_name)
+                    Verdict, compose, format_word, letter_name)
 from .oracle import DEFAULT_BUDGET, DEFAULT_K_MAX, profile_determines
-from .semigroups import (ASSOCIATIVITY, ONE_TESTABILITY, _check, _order_search,
-                         _resolve_properties)
+from .semigroups import (ASSOCIATIVITY, ONE_TESTABILITY, _cayley_fold, _check,
+                         _order_search, _resolve_properties)
 
 K_TESTABILITY = "k_testability"
 
@@ -130,15 +133,6 @@ def is_1_testable(gr: TransitionGraph) -> Verdict:
     return Verdict(ONE_TESTABILITY, YES)
 
 
-def _action(gr: TransitionGraph):
-    letters = letter_transformations(gr)
-
-    def step(tr: Transformation, a: int) -> Transformation:
-        return compose(tr, letters[a])
-
-    return identity_map(gr.node_count), step
-
-
 def is_k_testable(gr: TransitionGraph, k: int, *, t: int = 1,
                   budget: int = DEFAULT_BUDGET) -> Verdict:
     """Does the k-profile of a word (threshold t) pin down its action?
@@ -147,8 +141,13 @@ def is_k_testable(gr: TransitionGraph, k: int, *, t: int = 1,
     profiles and different node maps, an "unknown" means the profile
     state budget ran out before the search settled.
     """
-    initial, step = _action(gr)
-    res = profile_determines(initial, step, gr.alphabet_size, k, t, budget)
+    return _k_testability(transition_semigroup(gr), k, t, budget)
+
+
+def _k_testability(ts: TransitionSemigroup, k: int, t: int, budget: int) -> Verdict:
+    columns = ts.label_to_generator
+    res = profile_determines(None, _cayley_fold(ts.semigroup, columns), len(columns),
+                             k, t, budget)
     if res.status == "yes":
         return Verdict(K_TESTABILITY, YES, None,
                        f"k={k}, t={t}: {res.states} profile states searched")
@@ -164,7 +163,8 @@ def is_k_testable(gr: TransitionGraph, k: int, *, t: int = 1,
 def order_of_local_testability(gr: TransitionGraph, k_max: int = DEFAULT_K_MAX, *,
                                t: int = 1, budget: int = DEFAULT_BUDGET) -> OrderResult:
     """Least window length k <= k_max whose profiles determine the action."""
-    return _order_search(*_action(gr), gr.alphabet_size, k_max, t, budget)
+    ts = transition_semigroup(gr)
+    return _order_search(ts.semigroup, ts.label_to_generator, k_max, t, budget)
 
 
 def _with_witness_words(v: Verdict, ts: TransitionSemigroup) -> Verdict:
@@ -193,21 +193,23 @@ def analyze_graph(gr: TransitionGraph, properties=None, *, order: bool = False,
     completed = complete_with_sink(gr)
     sink_added = completed is not gr
     props = _resolve_properties(properties)
+    algebraic = any(p != ONE_TESTABILITY for p in props)
     ts = None
+    if algebraic or order or k is not None:
+        ts = transition_semigroup(completed)
     verdicts = []
     done: dict = {}
     for p in props:
         if p == ONE_TESTABILITY:
             verdicts.append(is_1_testable(completed))
-            continue
-        if ts is None:
-            ts = transition_semigroup(completed)
-        verdicts.append(_with_witness_words(_check(ts.semigroup, p, done), ts))
+        else:
+            verdicts.append(_with_witness_words(_check(ts.semigroup, p, done), ts))
     if k is not None:
-        verdicts.append(is_k_testable(completed, k, t=t, budget=budget))
+        verdicts.append(_k_testability(ts, k, t, budget))
     order_result = None
     if order:
-        order_result = order_of_local_testability(completed, k_max, t=t, budget=budget)
+        order_result = _order_search(ts.semigroup, ts.label_to_generator, k_max, t,
+                                     budget)
     descriptor: dict = {"kind": "graph"}
     if source:
         descriptor["source"] = source
@@ -215,7 +217,7 @@ def analyze_graph(gr: TransitionGraph, properties=None, *, order: bool = False,
     descriptor["nodes"] = completed.node_count
     descriptor["sink_added"] = sink_added
     stats: dict = {"alphabet": completed.alphabet_size, "nodes": completed.node_count}
-    if ts is not None:
+    if algebraic:
         stats["semigroup_elements"] = ts.semigroup.element_count
         stats["semigroup_generators"] = ts.semigroup.generator_count
     if order_result is not None:

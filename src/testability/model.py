@@ -7,7 +7,6 @@ factorizations and every witness follow it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -45,14 +44,6 @@ class IncompleteInput(ValueError):
 
 class BadK(ValueError):
     """A window length or threshold below 1."""
-
-
-class BudgetExceeded(Exception):
-    """A bounded search ran out of its state budget."""
-
-    def __init__(self, states: int):
-        self.states = states
-        super().__init__(f"state budget exceeded after {states} states")
 
 
 # A transformation of the node set, as a tuple: t[p] is the image of p.
@@ -165,11 +156,9 @@ class FiniteSemigroup:
         parent: list[tuple[int, int] | None] = [None] * n
         fact: list[tuple[int, ...] | None] = [None] * n
         order = list(range(g))
-        queue = deque(order)
         for j in range(g):
             fact[j] = (j,)
-        while queue:
-            x = queue.popleft()
+        for x in order:  # order grows while walked: a breadth-first queue
             row = rows[x]
             for j in range(g):
                 y = row[j]
@@ -177,7 +166,6 @@ class FiniteSemigroup:
                     fact[y] = fact[x] + (j,)
                     parent[y] = (x, j)
                     order.append(y)
-                    queue.append(y)
         for x in range(n):
             if fact[x] is None:
                 raise NotGenerated(x)

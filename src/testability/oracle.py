@@ -6,22 +6,23 @@ occurrences of every length-k factor, counted up to a threshold t.
 Words shorter than k are kept whole.  A language property holds "with
 window k" exactly when the profile of a word determines the value that
 some deterministic letter-fold assigns to it; ``profile_determines``
-decides that by closing the product of the profile automaton with the
-fold, and ``brute_force_scan`` re-derives the same answer by sheer
+decides that by a breadth-first search over the profiles reachable
+letter by letter, each paired with the value its first word folds to,
+and ``brute_force_scan`` re-derives the same answer by sheer
 enumeration so the two routes can be played against each other.
 
-An action here is any pair (initial value, step function): a
-transformation composed letter by letter, a semigroup evaluation, or
-anything else that folds letters into hashable values.
+A fold here is any pair (initial value, step function) over hashable
+values.  The package folds both graph words and generator words over a
+semigroup's Cayley rows (``semigroups._cayley_fold``); the tests also
+use node maps composed letter by letter.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import product as iter_product
 
-from .model import BadK, BudgetExceeded
+from .model import BadK
 
 DEFAULT_K_MAX = 8
 DEFAULT_BUDGET = 10**6
@@ -73,48 +74,6 @@ def profile_of(word, k: int, t: int = 1) -> KProfile:
     return KProfile(k, t, word[:k - 1], word[len(word) - k + 1:], tuple(sorted(bag.items())), None)
 
 
-class ProfileAutomaton:
-    """Deterministic automaton over k-profiles, built lazily.
-
-    States are interned profiles; state 0 is the empty word.  ``step``
-    creates target states on demand and raises BudgetExceeded once the
-    number of states would pass the budget.
-    """
-
-    def __init__(self, alphabet_size: int, k: int, t: int = 1, budget: int = DEFAULT_BUDGET):
-        if alphabet_size < 1:
-            raise ValueError(f"alphabet size {alphabet_size} must be positive")
-        self.alphabet_size = alphabet_size
-        self.k = k
-        self.t = t
-        self.budget = budget
-        start = profile_of((), k, t)
-        self._profiles: list[KProfile] = [start]
-        self._ids: dict[KProfile, int] = {start: 0}
-
-    @property
-    def start(self) -> int:
-        return 0
-
-    @property
-    def state_count(self) -> int:
-        return len(self._profiles)
-
-    def profile(self, pid: int) -> KProfile:
-        return self._profiles[pid]
-
-    def step(self, pid: int, letter: int) -> int:
-        target = self._profiles[pid].extend(letter)
-        nid = self._ids.get(target)
-        if nid is None:
-            if len(self._profiles) >= self.budget:
-                raise BudgetExceeded(len(self._profiles))
-            nid = len(self._profiles)
-            self._profiles.append(target)
-            self._ids[target] = nid
-        return nid
-
-
 @dataclass(frozen=True)
 class OracleResult:
     """Outcome of a profile search.
@@ -123,7 +82,7 @@ class OracleResult:
     (for brute_force_scan: up to the scanned length).  status "no":
     ``witness`` holds two words with equal profiles and different
     values.  status "unknown": the state budget ran out.
-    ``states`` counts profile states for the automaton search and
+    ``states`` counts profile states for the breadth-first search and
     examined words for the brute-force scan.
     """
 
@@ -136,41 +95,50 @@ def profile_determines(initial, step, alphabet_size: int, k: int, t: int = 1,
                        budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Does the k-profile of a word determine its folded value?
 
-    Runs a breadth-first closure of (profile, value) pairs.  Until a
-    conflict is seen each profile carries exactly one value, so the
-    profile id doubles as the pair key; the first conflicting step, in
-    BFS order with letters ascending, yields a deterministic
-    shortest-first witness pair reconstructed through parent links.
+    Runs a breadth-first closure of (profile, value) pairs.  Profiles
+    are numbered in discovery order, so the queue is a walk over those
+    ids; state 0 is the empty word.  Until a conflict is seen each
+    profile carries exactly one value, so the profile id doubles as the
+    pair key; the first conflicting step, in BFS order with letters
+    ascending, yields a deterministic shortest-first witness pair
+    reconstructed through parent links.  Reaching ``budget`` states
+    before the search settles gives "unknown".
     """
-    auto = ProfileAutomaton(alphabet_size, k, t, budget)
-    value_of = {0: initial}
-    parent: dict[int, tuple[int, int]] = {}
+    if alphabet_size < 1:
+        raise ValueError(f"alphabet size {alphabet_size} must be positive")
+    start = profile_of((), k, t)
+    profiles = [start]
+    ids = {start: 0}
+    value_of = [initial]
+    parent: list[tuple[int, int] | None] = [None]
 
     def word_of(pid: int) -> tuple[int, ...]:
         out = []
-        while pid in parent:
+        while pid:
             pid, letter = parent[pid]
             out.append(letter)
         return tuple(reversed(out))
 
-    queue = deque([0])
-    while queue:
-        pid = queue.popleft()
+    pid = 0
+    while pid < len(profiles):
+        prof = profiles[pid]
         value = value_of[pid]
         for letter in range(alphabet_size):
-            try:
-                nid = auto.step(pid, letter)
-            except BudgetExceeded:
-                return OracleResult("unknown", None, auto.state_count)
+            target = prof.extend(letter)
             reached = step(value, letter)
-            if nid not in value_of:
-                value_of[nid] = reached
-                parent[nid] = (pid, letter)
-                queue.append(nid)
+            nid = ids.get(target)
+            if nid is None:
+                if len(profiles) >= budget:
+                    return OracleResult("unknown", None, len(profiles))
+                ids[target] = len(profiles)
+                profiles.append(target)
+                value_of.append(reached)
+                parent.append((pid, letter))
             elif value_of[nid] != reached:
                 return OracleResult("no", (word_of(nid), word_of(pid) + (letter,)),
-                                    auto.state_count)
-    return OracleResult("yes", None, auto.state_count)
+                                    len(profiles))
+        pid += 1
+    return OracleResult("yes", None, len(profiles))
 
 
 def brute_force_scan(initial, step, alphabet_size: int, k: int, t: int = 1,

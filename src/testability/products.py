@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from .model import FiniteSemigroup, IncompleteInput, TransitionGraph
+from .model import YES, FiniteSemigroup, IncompleteInput, TransitionGraph, Verdict
+from .semigroups import ASSOCIATIVITY
 
 
 def semigroup_direct_product(s1: FiniteSemigroup, s2: FiniteSemigroup) -> FiniteSemigroup:
@@ -13,6 +14,10 @@ def semigroup_direct_product(s1: FiniteSemigroup, s2: FiniteSemigroup) -> Finite
     row-major order, then (g, y) for generators g of s1 and the
     remaining y; that is n1*g2 + n2*g1 - g1*g2 generators, placed in
     front of the element list.  Remaining pairs follow row-major.
+
+    When both factors carry a stored "yes" from Light's test, so does
+    the product: a componentwise product of associative operations is
+    associative.
     """
     n1, g1 = s1.element_count, s1.generator_count
     n2, g2 = s2.element_count, s2.generator_count
@@ -32,7 +37,11 @@ def semigroup_direct_product(s1: FiniteSemigroup, s2: FiniteSemigroup) -> Finite
     for x, y in pairs:
         r1, r2 = s1.row(x), s2.row(y)
         rows.append([index[r1[u], r2[v]] for u, v in gens])
-    return FiniteSemigroup(rows)
+    out = FiniteSemigroup(rows)
+    stored = (s1._associativity, s2._associativity)
+    if all(v is not None and v.holds == YES for v in stored):
+        out._associativity = Verdict(ASSOCIATIVITY, YES)
+    return out
 
 
 def graph_direct_product(gr1: TransitionGraph, gr2: TransitionGraph) -> TransitionGraph:

@@ -276,27 +276,38 @@ def check_generator_testability(s: FiniteSemigroup) -> Verdict:
     return Verdict(ONE_TESTABILITY, YES)
 
 
-def _generator_fold(s: FiniteSemigroup):
+def _cayley_fold(s: FiniteSemigroup, columns):
+    """Fold a word into the element it evaluates to in ``s``.
+
+    Letter a stands for generator ``columns[a]``, so a step is one
+    lookup in the Cayley rows.  The empty word folds to None, which no
+    other word's profile shares.  A semigroup passes ``range(g)``; a
+    graph passes the letter-to-generator map of its transition
+    semigroup, whose elements are in bijection with the node maps of
+    the words, so the verdicts are the ones node maps would give.
+    """
     cayley = s.cayley
 
-    def step(value, j):
+    def step(value, a):
+        j = columns[a]
         return j if value is None else cayley[value][j]
 
-    return None, step
+    return step
 
 
-def _order_search(initial, step, letters: int, k_max: int, t: int,
+def _order_search(s: FiniteSemigroup, columns, k_max: int, t: int,
                   budget: int) -> OrderResult:
     """Least window length k <= k_max whose k-profile determines the
-    value the fold (initial, step) gives every word over ``letters``.
+    element every word over ``columns`` folds to in ``s``.
 
     Window lengths are tried in increasing order, so a "found" result
     also proves every smaller k fails; ``largest_failing`` reports the
     failure bound established on the way.
     """
+    step = _cayley_fold(s, columns)
     states = 0
     for k in range(1, k_max + 1):
-        res = profile_determines(initial, step, letters, k, t, budget)
+        res = profile_determines(None, step, len(columns), k, t, budget)
         states = res.states
         if res.status == "yes":
             return OrderResult("found", k, t, k_max, k - 1, states,
@@ -313,7 +324,7 @@ def order_of_local_testability(s: FiniteSemigroup, k_max: int = DEFAULT_K_MAX,
     """Least k <= k_max whose k-profile determines the value of every
     generator word, found by running the profile oracle on the fold
     start -> generator -> x*generator."""
-    return _order_search(*_generator_fold(s), s.generator_count, k_max, 1, budget)
+    return _order_search(s, range(s.generator_count), k_max, 1, budget)
 
 
 def _local_check(prop):

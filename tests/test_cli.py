@@ -74,6 +74,15 @@ def test_machine_format_is_stable(files, capsys):
     assert "second" not in first and "time" not in first
 
 
+def test_letters_only_order_reports_no_semigroup_stats(files, capsys):
+    argv = ["analyze-graph", files["d_ab"], "--props", "1t", "--order",
+            "--format", "machine"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "order.k = 2" in out
+    assert "stats.semigroup_" not in out
+
+
 def test_product_semigroup_writes_the_frozen_table(files, capsys):
     code = main(["product-semigroup", files["z2"], files["z2"], "-o", files["out"]])
     assert code == 0

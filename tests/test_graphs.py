@@ -20,7 +20,7 @@ from testability import (
     strongly_connected_components,
     transition_semigroup,
 )
-from testability import semigroups
+from testability import graphs, semigroups
 from testability.semigroups import (ALL_PROPERTIES, ASSOCIATIVITY, LOCAL_TESTABILITY,
                                     ONE_TESTABILITY, PROPERTY_CHECKS)
 from tests import naive
@@ -193,6 +193,17 @@ def test_transition_semigroup_skips_lights_test(monkeypatch):
     report = analyze_graph(FIX.D_ab)
     assert scanned == []
     assert report.verdict(ASSOCIATIVITY).holds == "yes"
+
+
+def test_analyze_graph_builds_the_transition_semigroup_once(monkeypatch):
+    builds = []
+    build = graphs.transition_semigroup
+    monkeypatch.setattr(graphs, "transition_semigroup",
+                        lambda gr: builds.append(gr) or build(gr))
+    report = analyze_graph(FIX.D_ab, k=2, order=True)
+    assert builds == [FIX.D_ab]
+    assert report.verdict("k_testability").holds == "yes"
+    assert report.order.k == 2
 
 
 def test_analyze_graph_full_map():

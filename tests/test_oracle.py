@@ -5,14 +5,18 @@ from hypothesis import given, settings, strategies as st
 
 from testability import (
     BadK,
-    BudgetExceeded,
-    ProfileAutomaton,
+    TransitionGraph,
     brute_force_scan,
+    complete_with_sink,
     fixtures,
+    graph_order_of_local_testability,
+    is_k_testable,
     profile_determines,
     profile_of,
 )
+from testability import graphs, semigroups
 from tests import naive
+from tests.corpus import random_graph, random_partial_graph, seeded
 
 FIX = fixtures()
 
@@ -94,26 +98,26 @@ def test_profile_matches_naive(word, k, t):
         assert ref == (prof.prefix, prof.suffix, frozenset(prof.counts))
 
 
-def test_automaton_interns_profiles():
-    auto = ProfileAutomaton(1, 1)
-    s1 = auto.step(auto.start, 0)
-    assert auto.step(s1, 0) == s1
-    assert auto.state_count == 2
+def test_search_interns_profiles():
+    # k=1 over two letters: the profiles are the four letter sets, the
+    # empty word's among them; the semilattice fold is settled by them.
+    initial, step = eval_action(FIX.U1)
+    res = profile_determines(initial, step, 2, 1)
+    assert (res.status, res.states) == ("yes", 4)
+    # one letter, k=2, t=1: "", "a" and every longer word
+    initial, step = graph_action(FIX.D_triv)
+    assert profile_determines(initial, step, 1, 2).states == 3
 
 
-def test_automaton_walk_matches_profile_of():
-    auto = ProfileAutomaton(2, 2)
-    pid = auto.start
-    for letter in (0, 1, 0):
-        pid = auto.step(pid, letter)
-    assert auto.profile(pid) == profile_of((0, 1, 0), 2, 1)
+def test_budget_of_one_state_stops_at_the_empty_word():
+    initial, step = graph_action(FIX.D_ab)
+    res = profile_determines(initial, step, 2, 3, budget=1)
+    assert (res.status, res.witness, res.states) == ("unknown", None, 1)
 
 
-def test_automaton_budget():
-    auto = ProfileAutomaton(2, 3, budget=1)
-    with pytest.raises(BudgetExceeded) as exc:
-        auto.step(auto.start, 0)
-    assert exc.value.states == 1
+def test_search_rejects_an_empty_alphabet():
+    with pytest.raises(ValueError):
+        profile_determines(None, lambda v, a: v, 0, 1)
 
 
 def test_trivial_graph_is_determined_at_k1():
@@ -218,3 +222,51 @@ def test_oracle_witnesses_on_random_graphs(seed):
         u, v = res.witness
         assert naive.profile(u, 2, 1) == naive.profile(v, 2, 1)
         assert naive.word_action(gr, u) != naive.word_action(gr, v)
+
+
+def _fold_corpus(count):
+    """Seeded graphs on 1-4 nodes over 1-3 letters, about half of them
+    partial, some with two letters sharing a node map, each with a
+    window length, threshold and budget."""
+    rng = seeded("cayley-fold")
+    for _ in range(count):
+        g, a = rng.randrange(1, 5), rng.randrange(1, 4)
+        gr = (random_partial_graph if rng.random() < 0.5 else random_graph)(rng, g, a)
+        if a > 1 and rng.random() < 0.3:
+            gr = TransitionGraph(a, g, tuple(row[:-1] + (row[0],) for row in gr.delta))
+        yield (complete_with_sink(gr), rng.randrange(1, 4), rng.randrange(1, 3),
+               rng.choice((3, 50, 2000)))
+
+
+def test_cayley_fold_matches_node_maps(monkeypatch):
+    """The package folds graph words over transition-semigroup ids; the
+    searches it runs must equal the ones over node maps, state for
+    state."""
+    searches = []
+
+    def recording(*args):
+        res = profile_determines(*args)
+        searches.append(res)
+        return res
+
+    monkeypatch.setattr(graphs, "profile_determines", recording)
+    monkeypatch.setattr(semigroups, "profile_determines", recording)
+    verdicts = set()
+    for gr, k, t, budget in _fold_corpus(300):
+        initial, step = graph_action(gr)
+        a = gr.alphabet_size
+        searches.clear()
+        is_k_testable(gr, k, t=t, budget=budget)
+        ref = profile_determines(initial, step, a, k, t, budget)
+        assert searches == [ref]
+        verdicts.add(ref.status)
+        searches.clear()
+        order = graph_order_of_local_testability(gr, 3, t=t, budget=budget)
+        refs = []
+        for j in range(1, 4):
+            refs.append(profile_determines(initial, step, a, j, t, budget))
+            if refs[-1].status != "no":
+                break
+        assert searches == refs
+        assert order.states == refs[-1].states
+    assert verdicts == {"yes", "no", "unknown"}

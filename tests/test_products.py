@@ -3,8 +3,12 @@
 import pytest
 
 from testability import (
+    ASSOCIATIVITY,
+    FiniteSemigroup,
     IncompleteInput,
     TransitionGraph,
+    analyze_semigroup,
+    check_associativity,
     fixtures,
     graph_direct_product,
     graph_power,
@@ -15,6 +19,7 @@ from testability import (
     write_graph,
     write_semigroup,
 )
+from testability import semigroups
 from tests import naive
 from tests.corpus import (
     cyclic_group,
@@ -154,3 +159,32 @@ def test_products_of_zoo_members_stay_semigroups():
     for s1, s2 in zip(zoo[::2], zoo[1::2]):
         p = semigroup_direct_product(s1, s2)
         assert parse_semigroup(write_semigroup(p)) == p
+
+
+@pytest.fixture
+def lights_scans(monkeypatch):
+    scanned = []
+    scan = semigroups._lights_test
+    monkeypatch.setattr(semigroups, "_lights_test",
+                        lambda s: scanned.append(s) or scan(s))
+    return scanned
+
+
+def test_product_of_parsed_semigroups_inherits_associativity(lights_scans):
+    s1 = parse_semigroup(write_semigroup(rectangular_band(2, 2)))
+    s2 = parse_semigroup(write_semigroup(min_chain(3)))
+    lights_scans.clear()
+    report = analyze_semigroup(semigroup_direct_product(s1, s2))
+    assert lights_scans == []
+    assert report.verdict(ASSOCIATIVITY).holds == "yes"
+
+
+def test_product_without_two_stored_yes_verdicts_is_scanned(lights_scans):
+    checked = parse_semigroup(write_semigroup(rectangular_band(2, 2)))
+    broken = FiniteSemigroup(((1, 0), (0, 0)))
+    assert check_associativity(broken).holds == "no"
+    for other in (min_chain(3), broken):
+        p = semigroup_direct_product(checked, other)
+        lights_scans.clear()
+        analyze_semigroup(p, [ASSOCIATIVITY])
+        assert lights_scans == [p]
