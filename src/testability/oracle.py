@@ -11,6 +11,28 @@ letter by letter, each paired with the value its first word folds to,
 and ``brute_force_scan`` re-derives the same answer by sheer
 enumeration so the two routes can be played against each other.
 
+``KProfile`` and ``profile_of`` spell a profile out in tuples and are
+its readable definition.  The search keys a profile by one integer
+instead.  Over A letters a word is read as a base-A number, and
+``span`` = A**(k-1) is the number of codes of k - 1 letters:
+
+- a word of k - 1 or more letters has the key
+  ``(bag * span + prefix) * span + suffix``, where prefix and suffix
+  are the codes of its first and last k - 1 letters and bag is the
+  interned id of its saturated factor counts (a sorted tuple of
+  (factor code, count) pairs, counts capped at t).  Bag 0 is the empty
+  bag, which only the words of exactly k - 1 letters have;
+- a shorter word has the negative key ``~(length * span + code)``.
+
+Appending a letter to a word of k - 1 or more letters adds the factor
+``suffix * A + letter``.  A memo maps (bag id, factor code) to the id
+of the grown bag, so a step costs two dict lookups and a few integer
+operations, and a bag is rebuilt only on a memo miss.  Nothing is
+indexed by the A**k factor codes: a bag holds one pair per distinct
+factor of its word, so memory per state is bounded by the word, not
+by A**k.  Two keys are equal exactly when the two ``KProfile`` values
+are.
+
 A fold here is any pair (initial value, step function) over hashable
 values.  The package folds both graph words and generator words over a
 semigroup's Cayley rows (``semigroups._cayley_fold``); the tests also
@@ -59,11 +81,15 @@ class KProfile:
         return KProfile(k, t, self.prefix, factor[1:], tuple(sorted(bag.items())), None)
 
 
-def profile_of(word, k: int, t: int = 1) -> KProfile:
+def _check_window(k: int, t: int) -> None:
     if k < 1:
         raise BadK(f"window length {k} must be at least 1")
     if t < 1:
         raise BadK(f"threshold {t} must be at least 1")
+
+
+def profile_of(word, k: int, t: int = 1) -> KProfile:
+    _check_window(k, t)
     word = tuple(word)
     if len(word) < k:
         return KProfile(k, t, word, word, (), word)
@@ -103,42 +129,94 @@ def profile_determines(initial, step, alphabet_size: int, k: int, t: int = 1,
     ascending, yields a deterministic shortest-first witness pair
     reconstructed through parent links.  Reaching ``budget`` states
     before the search settles gives "unknown".
+
+    Each state is the integer key of its profile (layout in the module
+    docstring): prefix code, suffix code and the id of its interned
+    count bag, or length and code for a word shorter than k - 1
+    letters.  A word shorter than k is a profile of its own and a word
+    of k - 1 letters has the empty bag, which no longer word has, so
+    only keys with a nonempty bag go into the lookup table.  The bag
+    memo is keyed by ``bag * A**k + factor``; ``grow`` builds a bag
+    only when the memo misses.
     """
     if alphabet_size < 1:
         raise ValueError(f"alphabet size {alphabet_size} must be positive")
-    start = profile_of((), k, t)
-    profiles = [start]
-    ids = {start: 0}
+    _check_window(k, t)
+    letters = range(alphabet_size)
+    span = alphabet_size ** (k - 1)
+    factors = span * alphabet_size
+    bag_span = span * span
+    bags: list[tuple[tuple[int, int], ...]] = [()]
+    bag_ids = {(): 0}
+    grown: dict[int, int] = {}
+
+    def grow(bag: int, factor: int) -> int:
+        counts = dict(bags[bag])
+        count = counts.get(factor, 0)
+        result = bag
+        if count < t:
+            counts[factor] = count + 1
+            frozen = tuple(sorted(counts.items()))
+            result = bag_ids.setdefault(frozen, len(bags))
+            if result == len(bags):
+                bags.append(frozen)
+        grown[bag * factors + factor] = result
+        return result
+
+    keys = [~0 if k > 1 else 0]
+    ids: dict[int, int] = {}
     value_of = [initial]
-    parent: list[tuple[int, int] | None] = [None]
+    parent = [0]    # pid * alphabet_size + letter of the step that found a state
 
     def word_of(pid: int) -> tuple[int, ...]:
         out = []
         while pid:
-            pid, letter = parent[pid]
+            pid, letter = divmod(parent[pid], alphabet_size)
             out.append(letter)
         return tuple(reversed(out))
 
     pid = 0
-    while pid < len(profiles):
-        prof = profiles[pid]
+    while pid < len(keys):
+        key = keys[pid]
         value = value_of[pid]
-        for letter in range(alphabet_size):
-            target = prof.extend(letter)
+        if key < 0:
+            length, code = divmod(~key, span)
+            for letter in letters:
+                if len(keys) >= budget:
+                    return OracleResult("unknown", None, len(keys))
+                code_after = code * alphabet_size + letter
+                # k - 1 letters: the empty bag, prefix and suffix both the word
+                keys.append(~((length + 1) * span + code_after) if length + 2 < k
+                            else code_after * (span + 1))
+                value_of.append(step(value, letter))
+                parent.append(pid * alphabet_size + letter)
+            pid += 1
+            continue
+        rest, suffix = divmod(key, span)
+        bag, prefix = divmod(rest, span)
+        memo_base = bag * factors
+        shifted = suffix * alphabet_size
+        head = prefix * span
+        for letter in letters:
+            factor = shifted + letter
+            bag_after = grown.get(memo_base + factor)
+            if bag_after is None:
+                bag_after = grow(bag, factor)
+            target = bag_after * bag_span + head + factor % span
             reached = step(value, letter)
             nid = ids.get(target)
             if nid is None:
-                if len(profiles) >= budget:
-                    return OracleResult("unknown", None, len(profiles))
-                ids[target] = len(profiles)
-                profiles.append(target)
+                if len(keys) >= budget:
+                    return OracleResult("unknown", None, len(keys))
+                ids[target] = len(keys)
+                keys.append(target)
                 value_of.append(reached)
-                parent.append((pid, letter))
+                parent.append(pid * alphabet_size + letter)
             elif value_of[nid] != reached:
                 return OracleResult("no", (word_of(nid), word_of(pid) + (letter,)),
-                                    len(profiles))
+                                    len(keys))
         pid += 1
-    return OracleResult("yes", None, len(profiles))
+    return OracleResult("yes", None, len(keys))
 
 
 def brute_force_scan(initial, step, alphabet_size: int, k: int, t: int = 1,

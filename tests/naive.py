@@ -3,10 +3,15 @@
 Nothing here calls the package's decision procedures.  Multiplication
 is re-derived from the Cayley rows by plain word folding, profiles are
 recomputed from scratch, and every property check is the literal
-quantifier loop.  Deliberately slow; meant for small inputs.
+quantifier loop.  The one exception is ``profile_search``, the profile
+oracle's breadth-first search keyed by the package's readable
+``KProfile`` values, which the integer-keyed search must match state
+for state.  Deliberately slow; meant for small inputs.
 """
 
 from __future__ import annotations
+
+from testability import OracleResult, profile_of
 
 LOCAL_PROPS = ("local_idempotence", "local_testability", "strict_local_testability",
                "right_local_testability", "left_local_testability")
@@ -169,3 +174,47 @@ def profile(word, k, t):
         bag[f] = min(bag.get(f, 0) + 1, t)
     suffix = word[len(word) - k + 1:] if k > 1 else ()
     return (word[:k - 1], suffix, frozenset(bag.items()))
+
+
+def profile_search(initial, step, alphabet_size, k, t=1, budget=10**6):
+    """``profile_determines`` with every state a ``KProfile``.
+
+    Same breadth-first order (states numbered by discovery, letters
+    ascending), same budget rule and same parent-link witness, so the
+    ``OracleResult`` must be equal field for field.
+    """
+    if alphabet_size < 1:
+        raise ValueError(f"alphabet size {alphabet_size} must be positive")
+    start = profile_of((), k, t)
+    profiles = [start]
+    ids = {start: 0}
+    value_of = [initial]
+    parent = [None]
+
+    def word_of(pid):
+        out = []
+        while pid:
+            pid, letter = parent[pid]
+            out.append(letter)
+        return tuple(reversed(out))
+
+    pid = 0
+    while pid < len(profiles):
+        prof = profiles[pid]
+        value = value_of[pid]
+        for letter in range(alphabet_size):
+            target = prof.extend(letter)
+            reached = step(value, letter)
+            nid = ids.get(target)
+            if nid is None:
+                if len(profiles) >= budget:
+                    return OracleResult("unknown", None, len(profiles))
+                ids[target] = len(profiles)
+                profiles.append(target)
+                value_of.append(reached)
+                parent.append((pid, letter))
+            elif value_of[nid] != reached:
+                return OracleResult("no", (word_of(nid), word_of(pid) + (letter,)),
+                                    len(profiles))
+        pid += 1
+    return OracleResult("yes", None, len(profiles))

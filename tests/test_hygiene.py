@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never
+uses, or anything from the tests or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,20 @@ def test_every_import_is_used(path):
 
 def test_every_module_is_scanned():
     assert {p.stem for p in MODULES} >= {"graphs", "model", "oracle", "semigroups"}
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_no_tests_or_benchmark(path):
+    """The reference implementations in ``tests`` stay test-only."""
+    tree = ast.parse(path.read_text())
+    leaked = sorted(m for m in _imported_modules(tree)
+                    if m.split(".")[0] in ("tests", "perfbench"))
+    assert leaked == [], f"{path.name} imports {leaked}"

@@ -1,4 +1,7 @@
-"""The window-profile oracle, cross-checked against brute enumeration."""
+"""The window-profile oracle, cross-checked against brute enumeration
+and against the KProfile-keyed reference search."""
+
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +19,8 @@ from testability import (
 )
 from testability import graphs, semigroups
 from tests import naive
-from tests.corpus import random_graph, random_partial_graph, seeded
+from tests.corpus import (random_graph, random_partial_graph, seeded, semigroup_zoo,
+                          small_transformation_semigroups)
 
 FIX = fixtures()
 
@@ -118,6 +122,18 @@ def test_budget_of_one_state_stops_at_the_empty_word():
 def test_search_rejects_an_empty_alphabet():
     with pytest.raises(ValueError):
         profile_determines(None, lambda v, a: v, 0, 1)
+
+
+def test_search_checks_its_window_arguments():
+    initial, step = graph_action(FIX.D_ab)
+    with pytest.raises(BadK):
+        profile_determines(initial, step, 2, 0)
+    with pytest.raises(BadK):
+        profile_determines(initial, step, 2, 2, 0)
+    # the alphabet is checked first, and its error is not a BadK
+    with pytest.raises(ValueError) as err:
+        profile_determines(initial, step, 0, 0)
+    assert not isinstance(err.value, BadK)
 
 
 def test_trivial_graph_is_determined_at_k1():
@@ -270,3 +286,61 @@ def test_cayley_fold_matches_node_maps(monkeypatch):
         assert searches == refs
         assert order.states == refs[-1].states
     assert verdicts == {"yes", "no", "unknown"}
+
+
+REFERENCE_BUDGETS = (1, 3, 50, 3000)
+
+
+def _reference_corpus():
+    """The six fixtures, seeded graphs (some partial) and seeded
+    semigroups, each with eight (k, t, budget) draws."""
+    rng = seeded("reference-search")
+    actions = [(ACTIONS[name](), ALPHABETS[name]) for name in sorted(ACTIONS)]
+    for _ in range(24):
+        g, a = rng.randrange(1, 5), rng.randrange(1, 4)
+        gr = (random_partial_graph if rng.random() < 0.5 else random_graph)(rng, g, a)
+        actions.append((graph_action(complete_with_sink(gr)), a))
+    for s in semigroup_zoo() + small_transformation_semigroups():
+        actions.append((eval_action(s), s.generator_count))
+    for action, a in actions:
+        for _ in range(8):
+            k, t = rng.randrange(1, 5), rng.randrange(1, 4)
+            yield action, a, k, t, rng.choice(REFERENCE_BUDGETS)
+
+
+def test_search_equals_the_kprofile_reference():
+    """The integer-keyed search must reproduce the KProfile-keyed one
+    state for state: same status, witness and state count."""
+    seen = {"k": set(), "t": set(), "budget": set(), "status": set()}
+    for (initial, step), a, k, t, budget in _reference_corpus():
+        res = profile_determines(initial, step, a, k, t, budget)
+        assert res == naive.profile_search(initial, step, a, k, t, budget), (k, t, budget)
+        for field, value in zip(seen, (k, t, budget, res.status)):
+            seen[field].add(value)
+    assert seen == {"k": {1, 2, 3, 4}, "t": {1, 2, 3}, "budget": set(REFERENCE_BUDGETS),
+                    "status": {"yes", "no", "unknown"}}
+
+
+# Peak traced memory of the search below, 2-core host, Python 3.11:
+# 10.8 MB with KProfile states, 8.2 MB with interned count bags, 26.8 MB
+# with interned bags held as dense bitmasks over the 26**3 factors.  The
+# bound is the KProfile figure plus 25%.
+MEMORY_BOUND_MB = 13.5
+
+
+def test_search_memory_is_bounded_by_the_words():
+    """26 letters, k=3: a bag costs what its word holds, not 26**3 bits.
+    The fold is the 2-node graph whose letter a sends both nodes to a % 2."""
+    letters = [(a % 2, a % 2) for a in range(26)]
+
+    def step(value, a):
+        return letters[a]
+
+    tracemalloc.start()
+    try:
+        res = profile_determines((0, 1), step, 26, 3, budget=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.status, res.states) == ("unknown", 20_000)
+    assert peak < MEMORY_BOUND_MB * 1e6, f"peak {peak / 1e6:.1f} MB"
