@@ -70,8 +70,17 @@ class TransitionSemigroup:
 def transition_semigroup(gr: TransitionGraph) -> TransitionSemigroup:
     """Close the letter transformations under composition.
 
-    Breadth-first from the distinct letter maps, composing on the right
-    (word order: existing element first, then the generator letter).
+    Froidure and Pin's enumeration (Algorithms for computing finite
+    semigroups, 1997): elements are found in shortlex order of their
+    least generator words, which is breadth-first discovery order with
+    generators ascending, and each one keeps its first generator, last
+    generator, prefix and suffix.  For u = b*s (b its first generator)
+    the product u*j is b*(s*j).  When the word of s followed by j is not
+    the least word of s*j, that element r is already known, and
+    b*r = (b*prefix(r))*last(r) is a lookup in the left Cayley rows, then
+    in the right ones.  Only the other edges compose node maps.  Left
+    rows are filled one word length at a time, after the right rows of
+    that length.
     """
     letters = letter_transformations(gr)
     gens: list[Transformation] = []
@@ -86,22 +95,45 @@ def transition_semigroup(gr: TransitionGraph) -> TransitionSemigroup:
             gens.append(tr)
             gen_letters.append(a)
         label_to_gen.append(j)
+    g = len(gens)
     elements = list(gens)
+    first = list(range(g))
+    last = list(range(g))
+    prefix: list[int | None] = [None] * g
+    suffix: list[int | None] = [None] * g
     rows: list[list[int]] = []
-    qi = 0
-    while qi < len(elements):
-        cur = elements[qi]
-        row = []
-        for tr in gens:
-            nxt = compose(cur, tr)
-            z = ids.get(nxt)
-            if z is None:
-                z = len(elements)
-                ids[nxt] = z
-                elements.append(nxt)
-            row.append(z)
-        rows.append(row)
-        qi += 1
+    left: list[list[int]] = []
+    start, stop = 0, g
+    while start < stop:  # the elements of one word length
+        for u in range(start, stop):
+            row: list[int] = []
+            rows.append(row)
+            b, s = first[u], suffix[u]
+            s_row = rows[s] if s is not None else None
+            for j, tr in enumerate(gens):
+                if s_row is not None:
+                    r = s_row[j]
+                    p = prefix[r]
+                    if p != s or last[r] != j:  # s*j has a smaller word: look up b*r
+                        row.append(rows[b][r] if p is None
+                                   else rows[left[p][b]][last[r]])
+                        continue
+                nxt = compose(elements[u], tr)
+                z = ids.get(nxt)
+                if z is None:
+                    z = len(elements)
+                    ids[nxt] = z
+                    elements.append(nxt)
+                    first.append(b)
+                    last.append(j)
+                    prefix.append(u)
+                    suffix.append(j if s_row is None else s_row[j])
+                row.append(z)
+        for u in range(start, stop):
+            p, j = prefix[u], last[u]
+            left.append([rows[a][u] for a in range(g)] if p is None
+                        else [rows[x][j] for x in left[p]])
+        start, stop = stop, len(elements)
     sg = FiniteSemigroup(rows)
     # Composition of maps is associative, so Light's test is skipped.
     sg._associativity = Verdict(ASSOCIATIVITY, YES)

@@ -12,6 +12,8 @@ error.  Extra integers after the table are ignored.
 from __future__ import annotations
 
 import re
+from itertools import islice, takewhile
+from operator import itemgetter
 
 from .model import (NO, UNKNOWN, FiniteSemigroup, NotAssociative, PropertyReport,
                     TransitionGraph, UNDEFINED, format_word)
@@ -51,50 +53,86 @@ class CellOutOfRange(ParseError):
     """A table cell outside the range the header allows."""
 
 
-_INT = re.compile(r"-?\d+")
-_DIGIT = re.compile(r"\d")
+# A whitespace-separated token containing a digit.  Group 1 holds it
+# when it is an integer and is None when it mixes digits with other
+# characters; digitless tokens (comments) never match.
+_TOKEN = re.compile(r"(?<!\S)(?:(-?\d+)(?!\S)|\S*\d\S*)")
 
 
-def _numbers(text: str):
-    """Yield (value, line, column) for every numeric token."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        for m in re.finditer(r"\S+", line):
-            tok = m.group()
-            if not _DIGIT.search(tok):
-                continue
-            if _INT.fullmatch(tok) is None:
-                raise BadToken(f"token {tok!r} mixes digits and other characters",
-                               lineno, m.start() + 1, tok)
-            yield int(tok), lineno, m.start() + 1
+class _Numbers:
+    """The numeric tokens of a text, handed out front to back.
+
+    One lazy regex pass finds them, and values are converted as they are
+    taken, all at C level; a token's (line, column) is worked out only
+    for an error.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self._ints = map(itemgetter(1), _TOKEN.finditer(text))
+        self.taken = 0
+
+    def take(self, count: int) -> list[int]:
+        """The next ``count`` values.  Fewer means a malformed token or
+        the end of the text came first; the caller then ends the parse
+        through ``missing``, which says which."""
+        values = list(map(int, islice(takewhile(bool, self._ints), count)))
+        self.taken += len(values)
+        return values
+
+    def missing(self, what: str):
+        """Raise for the token after the last one taken."""
+        m = self._match(self.taken)
+        if m is None:
+            raise TooFewNumbers(f"input ended while reading {what}")
+        raise BadToken(f"token {m.group()!r} mixes digits and other characters",
+                       *self.where(self.taken), m.group())
+
+    def where(self, i: int) -> tuple[int, int]:
+        """(line, column) of numeric token i, both counted from 1."""
+        m = self._match(i)
+        lines = self.text[:m.end()].splitlines()
+        return len(lines), len(lines[-1]) - len(m.group()) + 1
+
+    def _match(self, i: int) -> re.Match | None:
+        return next(islice(_TOKEN.finditer(self.text), i, None), None)
 
 
-def _take(nums, what: str) -> tuple[int, int, int]:
-    try:
-        return next(nums)
-    except StopIteration:
-        raise TooFewNumbers(f"input ended while reading {what}") from None
+def _header(nums: _Numbers, first: str, second: str) -> list[int]:
+    header = nums.take(2)
+    if len(header) < 2:
+        nums.missing((first, second)[len(header)])
+    return header
+
+
+def _cells(nums: _Numbers, count: int, low: int, high: int, noun: str,
+           unit: str) -> list[int]:
+    """The next ``count`` values, all in low..high; the first cell out of
+    range is reported before a malformed token or a short input."""
+    start = nums.taken
+    cells = nums.take(count)
+    if cells and not (low <= min(cells) and max(cells) <= high):
+        i = next(i for i, v in enumerate(cells) if not low <= v <= high)
+        raise CellOutOfRange(f"{noun} {cells[i]} outside {low}..{high}",
+                             *nums.where(start + i), str(cells[i]))
+    if len(cells) < count:
+        nums.missing(f"{unit} {len(cells) + 1} of {count}")
+    return cells
 
 
 def parse_graph(text: str) -> TransitionGraph:
     """Read "a g" then g rows of a transitions; -1 means undefined."""
-    nums = _numbers(text)
-    a, line, col = _take(nums, "the alphabet size")
-    g, gline, gcol = _take(nums, "the node count")
+    nums = _Numbers(text)
+    a, g = _header(nums, "the alphabet size", "the node count")
     if a <= 0:
-        raise NonpositiveHeader(f"alphabet size {a} must be positive", line, col, str(a))
+        raise NonpositiveHeader(f"alphabet size {a} must be positive",
+                                *nums.where(0), str(a))
     if g <= 0:
-        raise NonpositiveHeader(f"node count {g} must be positive", gline, gcol, str(g))
-    delta = []
-    for p in range(g):
-        row = []
-        for c in range(p * a, (p + 1) * a):
-            v, vline, vcol = _take(nums, f"transition {c + 1} of {g * a}")
-            if v < UNDEFINED or v >= g:
-                raise CellOutOfRange(
-                    f"transition target {v} outside -1..{g - 1}", vline, vcol, str(v))
-            row.append(v)
-        delta.append(tuple(row))
-    return TransitionGraph(a, g, tuple(delta))
+        raise NonpositiveHeader(f"node count {g} must be positive",
+                                *nums.where(1), str(g))
+    cells = _cells(nums, g * a, UNDEFINED, g - 1, "transition target", "transition")
+    delta = tuple(tuple(cells[i:i + a]) for i in range(0, g * a, a))
+    return TransitionGraph(a, g, delta)
 
 
 def parse_semigroup(text: str) -> FiniteSemigroup:
@@ -104,25 +142,16 @@ def parse_semigroup(text: str) -> FiniteSemigroup:
     run before the value is returned, so a parsed semigroup is always a
     semigroup; NotGenerated or NotAssociative are raised otherwise.
     """
-    nums = _numbers(text)
-    n, line, col = _take(nums, "the element count")
-    gn, gline, gcol = _take(nums, "the generator count")
+    nums = _Numbers(text)
+    n, gn = _header(nums, "the element count", "the generator count")
     if n <= 0:
-        raise HeaderInconsistent(f"element count {n} must be positive", line, col, str(n))
+        raise HeaderInconsistent(f"element count {n} must be positive",
+                                 *nums.where(0), str(n))
     if gn <= 0 or gn > n:
-        raise HeaderInconsistent(
-            f"generator count {gn} must be in 1..{n}", gline, gcol, str(gn))
-    rows = []
-    for x in range(n):
-        row = []
-        for c in range(x * gn, (x + 1) * gn):
-            v, vline, vcol = _take(nums, f"product {c + 1} of {n * gn}")
-            if v < 0 or v >= n:
-                raise CellOutOfRange(
-                    f"product {v} outside 0..{n - 1}", vline, vcol, str(v))
-            row.append(v)
-        rows.append(tuple(row))
-    s = FiniteSemigroup(rows)
+        raise HeaderInconsistent(f"generator count {gn} must be in 1..{n}",
+                                 *nums.where(1), str(gn))
+    cells = _cells(nums, n * gn, 0, n - 1, "product", "product")
+    s = FiniteSemigroup(tuple(cells[i:i + gn]) for i in range(0, n * gn, gn))
     verdict = check_associativity(s)
     if verdict.holds == NO:
         raise NotAssociative(verdict.witness)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from operator import itemgetter
 
 UNDEFINED = -1
 
@@ -55,8 +56,15 @@ def identity_map(n: int) -> Transformation:
 
 
 def compose(first: Transformation, then: Transformation) -> Transformation:
-    """Apply ``first``, then ``then`` (same order as reading a word)."""
-    return tuple(then[p] for p in first)
+    """Apply ``first``, then ``then`` (same order as reading a word).
+
+    ``itemgetter`` does the lookups in C; with a single index it returns
+    the item itself rather than a tuple, so short maps take the plain
+    route.
+    """
+    if len(first) < 2:
+        return tuple(then[p] for p in first)
+    return itemgetter(*first)(then)
 
 
 def letter_name(i: int) -> str:
@@ -130,7 +138,8 @@ class FiniteSemigroup:
 
     The full product table is derived from the rows on demand.  A row
     x*y for all y is filled in one pass over the discovery order, since
-    x*(z*g) = (x*z)*g; ``product`` materializes the whole table.
+    x*(z*g) = (x*z)*g, and cached as a tuple; ``product`` is the table
+    of those same tuples.
     Instances are immutable apart from this cache and the stored
     verdict of Light's associativity test.
     """
@@ -176,11 +185,11 @@ class FiniteSemigroup:
         self.factorization = tuple(fact)
         self._order = tuple(order)
         self._parent = tuple(parent)
-        self._rows: dict[int, list[int]] = {}
+        self._rows: dict[int, tuple[int, ...]] = {}
         self._table: tuple[tuple[int, ...], ...] | None = None
         self._associativity = None  # Light's test verdict, set by check_associativity
 
-    def row(self, x: int) -> list[int]:
+    def row(self, x: int) -> tuple[int, ...]:
         """The full row x*y for every y.  Computed once, then cached."""
         cached = self._rows.get(x)
         if cached is not None:
@@ -195,7 +204,7 @@ class FiniteSemigroup:
             else:
                 p, j = link
                 row[y] = cayley[row[p]][j]
-        self._rows[x] = row
+        row = self._rows[x] = tuple(row)
         return row
 
     def prod(self, x: int, y: int) -> int:
@@ -211,7 +220,7 @@ class FiniteSemigroup:
     @property
     def product(self) -> tuple[tuple[int, ...], ...]:
         if self._table is None:
-            self._table = tuple(tuple(self.row(x)) for x in range(self.element_count))
+            self._table = tuple(self.row(x) for x in range(self.element_count))
         return self._table
 
     def __eq__(self, other):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .model import (NO, YES, FiniteSemigroup, NotIdempotent, OrderResult,
-                    PropertyReport, Verdict)
+                    PropertyReport, Verdict, compose)
 from .oracle import DEFAULT_BUDGET, DEFAULT_K_MAX, profile_determines
 from .scc import strongly_connected_components
 
@@ -53,14 +53,21 @@ def check_associativity(s: FiniteSemigroup) -> Verdict:
 
 
 def _lights_test(s: FiniteSemigroup) -> Verdict:
-    """(x*g)*y == x*(g*y) for all x, y and generators g."""
+    """(x*g)*y == x*(g*y) for all x, y and generators g.
+
+    Each (x, g) compares the whole row of x*g with the row of g composed
+    with the row of x, a C-level tuple comparison; only a pair that
+    differs is scanned element by element, for the least y.
+    """
     n = s.element_count
     cayley = s.cayley
+    gen_rows = [s.row(j) for j in range(s.generator_count)]
     for x in range(n):
         row_x = s.row(x)
-        for j in range(s.generator_count):
+        for j, row_j in enumerate(gen_rows):
             row_xj = s.row(cayley[x][j])
-            row_j = s.row(j)
+            if row_xj == compose(row_j, row_x):
+                continue
             for y in range(n):
                 if row_xj[y] != row_x[row_j[y]]:
                     return Verdict(ASSOCIATIVITY, NO, (x, j, y),

@@ -3,10 +3,12 @@
 Nothing here calls the package's decision procedures.  Multiplication
 is re-derived from the Cayley rows by plain word folding, profiles are
 recomputed from scratch, and every property check is the literal
-quantifier loop.  The one exception is ``profile_search``, the profile
-oracle's breadth-first search keyed by the package's readable
-``KProfile`` values, which the integer-keyed search must match state
-for state.  Deliberately slow; meant for small inputs.
+quantifier loop; ``transition_closure`` composes the node maps of
+every (element, letter) pair, with no table lookups.  The one
+exception is ``profile_search``, the profile oracle's breadth-first
+search keyed by the package's readable ``KProfile`` values, which the
+integer-keyed search must match state for state.  Deliberately slow;
+meant for small inputs.
 """
 
 from __future__ import annotations
@@ -34,6 +36,42 @@ def closure_words(cayley):
     return [words[x] for x in range(n)]
 
 
+def transition_closure(gr):
+    """Close a complete graph's letter maps breadth-first.
+
+    Letters with equal node maps share a generator (the first such
+    letter names it).  Every element is composed with every generator,
+    in discovery order.  Returns (Cayley rows, node maps,
+    factorizations, label_to_generator, generator_letters).
+    """
+    ids = {}
+    gens, gen_letters, label_to_gen = [], [], []
+    for a in range(gr.alphabet_size):
+        tr = tuple(row[a] for row in gr.delta)
+        if tr not in ids:
+            ids[tr] = len(gens)
+            gens.append(tr)
+            gen_letters.append(a)
+        label_to_gen.append(ids[tr])
+    elements = list(gens)
+    words = [(j,) for j in range(len(gens))]
+    rows = []
+    x = 0
+    while x < len(elements):
+        row = []
+        for j, tr in enumerate(gens):
+            nxt = tuple(tr[p] for p in elements[x])
+            if nxt not in ids:
+                ids[nxt] = len(elements)
+                elements.append(nxt)
+                words.append(words[x] + (j,))
+            row.append(ids[nxt])
+        rows.append(tuple(row))
+        x += 1
+    return (tuple(rows), tuple(elements), tuple(words), tuple(label_to_gen),
+            tuple(gen_letters))
+
+
 def eval_word(cayley, word):
     acc = word[0]
     for j in word[1:]:
@@ -47,6 +85,19 @@ def product_table(cayley):
     n = len(cayley)
     return [[eval_word(cayley, words[x] + words[y]) for y in range(n)]
             for x in range(n)]
+
+
+def lights_test(cayley):
+    """The least (x, j, y) with (x*j)*y != x*(j*y), j a generator, or
+    None; products come from ``product_table``."""
+    table = product_table(cayley)
+    n = len(table)
+    for x in range(n):
+        for j in range(len(cayley[0])):
+            for y in range(n):
+                if table[table[x][j]][y] != table[x][table[j][y]]:
+                    return (x, j, y)
+    return None
 
 
 def check_local(table, prop):

@@ -24,7 +24,7 @@ from testability import graphs, semigroups
 from testability.semigroups import (ALL_PROPERTIES, ASSOCIATIVITY, LOCAL_TESTABILITY,
                                     ONE_TESTABILITY, PROPERTY_CHECKS)
 from tests import naive
-from tests.corpus import random_graph, seeded
+from tests.corpus import random_graph, random_partial_graph, seeded
 
 FIX = fixtures()
 
@@ -82,6 +82,65 @@ def test_transition_semigroup_elements_act_as_their_words(seed):
     ts = transition_semigroup(gr)
     for x, tr in enumerate(ts.transformations):
         assert naive.word_action(gr, ts.element_word(x)) == tr
+
+
+def _closure_corpus():
+    """Seeded graphs for the closure cross-check, by kind."""
+    rng = seeded("froidure-pin")
+    corpus = []
+    for _ in range(60):
+        corpus.append(("complete", random_graph(rng, rng.randint(1, 6),
+                                                rng.randint(1, 3))))
+    for _ in range(30):
+        gr = random_partial_graph(rng, rng.randint(1, 5), rng.randint(1, 3))
+        corpus.append(("partial", complete_with_sink(gr)))
+    for _ in range(20):
+        gr = random_graph(rng, rng.randint(2, 5), 2)
+        copied = rng.randrange(2)
+        corpus.append(("duplicate letter", TransitionGraph(
+            3, gr.node_count, tuple(row + (row[copied],) for row in gr.delta))))
+    for _ in range(20):
+        gr = random_graph(rng, rng.randint(2, 5), 2)
+        a, b = rng.sample(range(2), 2)
+        corpus.append(("product letter", TransitionGraph(3, gr.node_count, tuple(
+            row + (gr.delta[row[a]][b],) for row in gr.delta))))
+    for n in range(1, 8):
+        corpus.append(("one letter", random_graph(rng, n, 1)))
+    for a in range(1, 5):
+        corpus.append(("one node", TransitionGraph(a, 1, ((0,) * a,))))
+    return corpus
+
+
+def test_closure_matches_the_breadth_first_reference():
+    kinds = set()
+    for kind, gr in _closure_corpus():
+        ts = transition_semigroup(gr)
+        rows, maps, words, label_to_gen, gen_letters = naive.transition_closure(gr)
+        assert ts.semigroup.cayley == rows, kind
+        assert ts.transformations == maps, kind
+        assert ts.semigroup.factorization == words, kind
+        assert ts.label_to_generator == label_to_gen, kind
+        assert ts.generator_letters == gen_letters, kind
+        kinds.add(kind)
+    assert len(kinds) == 6
+
+
+def test_closure_composes_only_reduced_edges(monkeypatch):
+    """Products along words that are not the least word of their element
+    are looked up; a closure that composed every (element, generator)
+    pair would make elements x generators calls.  The seeded graph (2,650
+    elements) also has elements s with s*j = s*j' for an earlier j', where
+    the edge (s, j) is not reduced although s is the prefix of s*j."""
+    composed = []
+    real = graphs.compose
+    monkeypatch.setattr(graphs, "compose",
+                        lambda first, then: composed.append(1) or real(first, then))
+    for gr, calls in ((FIX.D_ab, 9),
+                      (random_graph(seeded("froidure-pin-count"), 6, 3), 3199)):
+        composed.clear()
+        sg = transition_semigroup(gr).semigroup
+        assert len(composed) == calls
+        assert calls < sg.element_count * sg.generator_count
 
 
 def test_node_components():

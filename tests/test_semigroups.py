@@ -10,6 +10,8 @@ from testability import (
     ASSOCIATIVITY,
     LOCAL_PROPERTIES,
     FiniteSemigroup,
+    NotAssociative,
+    NotGenerated,
     NotIdempotent,
     TransitionGraph,
     analyze_semigroup,
@@ -50,6 +52,7 @@ from tests.corpus import (
     ltt_identity_failures,
     min_chain,
     rectangular_band,
+    seeded,
     semigroup_zoo,
     small_transformation_semigroups,
 )
@@ -99,6 +102,46 @@ def test_lights_scan_runs_once_per_value(monkeypatch):
     assert scanned == [s]
     assert report.verdict(ASSOCIATIVITY) is check_associativity(s)
     assert scanned == [s]
+
+
+def _mutated(s: FiniteSemigroup, rng):
+    """``s`` with one Cayley cell changed, or None if that leaves some
+    element ungenerated."""
+    rows = [list(row) for row in s.cayley]
+    rows[rng.randrange(len(rows))][rng.randrange(len(rows[0]))] = rng.randrange(len(rows))
+    try:
+        return FiniteSemigroup(rows)
+    except NotGenerated:
+        return None
+
+
+def test_lights_test_agrees_with_naive():
+    """Same verdict and same lex-least (x, j, y) as the all-triples scan,
+    on associative tables (the corpus and products of its members) and
+    on copies with one cell changed; parsing raises on that triple."""
+    rng = seeded("lights-test")
+    tables = list(CORPUS)
+    while len(tables) < len(CORPUS) + 12:
+        a, b = rng.sample(CORPUS, 2)
+        if a.element_count * b.element_count <= 40:
+            tables.append(semigroup_direct_product(a, b))
+    failures = 0
+    for s in tables:
+        assert naive.lights_test(s.cayley) is None
+        assert semigroups._lights_test(s).holds == "yes"
+        for _ in range(8):
+            m = _mutated(s, rng)
+            if m is None:
+                continue
+            witness = naive.lights_test(m.cayley)
+            v = semigroups._lights_test(m)
+            assert (v.holds, v.witness) == ("yes" if witness is None else "no", witness)
+            if witness is not None:
+                failures += 1
+                with pytest.raises(NotAssociative) as exc:
+                    parse_semigroup(write_semigroup(m))
+                assert exc.value.triple == witness
+    assert failures >= 50
 
 
 def test_idempotents():
