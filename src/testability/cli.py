@@ -179,7 +179,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 64
     try:
         return args.run(args)
-    except (ParseError, NotGenerated, NotAssociative, IncompleteInput, OSError) as exc:
+    except (ParseError, UnicodeDecodeError, NotGenerated, NotAssociative,
+            IncompleteInput, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -145,7 +145,7 @@ class FiniteSemigroup:
     """
 
     __slots__ = ("element_count", "generator_count", "cayley", "factorization",
-                 "_order", "_parent", "_rows", "_table", "_associativity")
+                 "_order", "_parent", "_rows", "_associativity")
 
     def __init__(self, rows):
         rows = tuple(tuple(int(c) for c in row) for row in rows)
@@ -186,7 +186,6 @@ class FiniteSemigroup:
         self._order = tuple(order)
         self._parent = tuple(parent)
         self._rows: dict[int, tuple[int, ...]] = {}
-        self._table: tuple[tuple[int, ...], ...] | None = None
         self._associativity = None  # Light's test verdict, set by check_associativity
 
     def row(self, x: int) -> tuple[int, ...]:
@@ -219,9 +218,7 @@ class FiniteSemigroup:
 
     @property
     def product(self) -> tuple[tuple[int, ...], ...]:
-        if self._table is None:
-            self._table = tuple(self.row(x) for x in range(self.element_count))
-        return self._table
+        return tuple(self.row(x) for x in range(self.element_count))
 
     def __eq__(self, other):
         if not isinstance(other, FiniteSemigroup):

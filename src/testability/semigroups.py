@@ -123,13 +123,14 @@ def check_local_property(s: FiniteSemigroup, prop: str) -> Verdict:
 
 def is_aperiodic(s: FiniteSemigroup) -> Verdict:
     """Iterate powers of each element until they repeat; the cycle the
-    sequence falls into must have length 1."""
+    sequence falls into must have length 1.  Powers step through
+    ``prod``, so no row is built that another check has not built."""
     n = s.element_count
     for x in range(n):
         seen = {x: 1}
         power = x
         for i in range(2, n + 2):
-            power = s.row(power)[x]
+            power = s.prod(power, x)
             if power in seen:
                 period = i - seen[power]
                 if period != 1:
@@ -224,15 +225,6 @@ def _least_sandwich_witness(s: FiniteSemigroup, e: int, f: int) -> Verdict:
     raise AssertionError(f"e={e}, f={f} fails on fSe but not on S")
 
 
-def _identity_element(s: FiniteSemigroup) -> int | None:
-    n = s.element_count
-    for e in range(n):
-        if all(v == x for x, v in enumerate(s.row(e))):
-            if all(s.prod(x, e) == x for x in range(n)):
-                return e
-    return None
-
-
 def j_classes(s: FiniteSemigroup) -> tuple[tuple[int, ...], ...]:
     """Two-sided reachability classes of S with an identity adjoined
     when no element already acts as one.
@@ -241,18 +233,17 @@ def j_classes(s: FiniteSemigroup) -> tuple[tuple[int, ...], ...]:
     either side, coincides with mutual two-sided ideal membership, so
     the classes are the SCCs of that digraph.  When an identity is
     adjoined it appears as the extra index element_count.
+
+    Element e is the identity exactly when its successors e*j, then
+    j*e, are the generators 0..g-1 twice over: e*j = j = j*e for every
+    generator j is enough, because the generators generate S.
     """
-    n = s.element_count
-    g = s.generator_count
-    adjoined = _identity_element(s) is None
-    total = n + 1 if adjoined else n
-    gen_rows = [s.row(j) for j in range(g)]
-    succ: list[list[int]] = []
-    for x in range(n):
-        right = s.cayley[x]
-        succ.append([right[j] for j in range(g)] + [gen_rows[j][x] for j in range(g)])
-    if adjoined:
-        succ.append(list(range(g)))
+    gens = list(range(s.generator_count))
+    gen_rows = [s.row(j) for j in gens]
+    succ = [list(s.cayley[x]) + [row[x] for row in gen_rows]
+            for x in range(s.element_count)]
+    if gens + gens not in succ:
+        succ.append(gens)
     comps = strongly_connected_components(succ)
     return tuple(tuple(c) for c in comps)
 

@@ -196,6 +196,20 @@ def identity_of(table):
     return None
 
 
+def j_classes(table):
+    """Elements grouped by equal two-sided ideal, each class ascending and
+    the classes ordered by least member, then ``(n,)`` for the identity
+    adjoined when no element of the table is one."""
+    n = len(table)
+    classes = {}
+    for x in range(n):
+        classes.setdefault(two_sided_ideal(table, x), []).append(x)
+    out = [tuple(c) for c in classes.values()]
+    if identity_of(table) is None:
+        out.append((n,))
+    return tuple(out)
+
+
 def check_one_testable(table, g):
     for u in range(g):
         if table[u][u] != u:

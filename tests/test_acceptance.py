@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 from itertools import product as iter_product
 
 from testability import (
@@ -33,6 +34,7 @@ from testability import (
     graph_direct_product,
     graph_order_of_local_testability,
     graph_property,
+    is_aperiodic,
     is_k_testable,
     is_piecewise_testable,
     parse_graph,
@@ -386,3 +388,32 @@ def test_criterion_9_worst_case_yes_instance():
                    for p in ALL_PROPERTIES}
     assert elapsed < 30.0
     print(f"PASS criterion 9: n=300 yes-instance analyzed in {elapsed:.1f}s < 30s")
+
+
+def test_criterion_10_aperiodicity_and_pt_memory():
+    # Aperiodicity and piecewise testability read the Cayley rows and
+    # the generator rows only: no n x n table.  The 8-node Catalan graph
+    # (letter i sends node i to i+1 and fixes the rest; its maps are the
+    # order-preserving extensive maps of the chain, 1,429 besides the
+    # identity) is J-trivial, so both scans run to the end.
+    catalan = TransitionGraph(7, 8, tuple(tuple(p + 1 if p == i else p for i in range(7))
+                                          for p in range(8)))
+    cases = ((catalan, 1429, YES, (YES, None)),
+             (random_graph(seeded("froidure-pin-count"), 6, 3), 2650, NO, (NO, (0, 5))))
+    peaks = []
+    for gr, elements, aperiodic, pt in cases:
+        s = transition_semigroup(gr).semigroup
+        assert s.element_count == elements
+        tracemalloc.start()
+        try:
+            a = is_aperiodic(s)
+            p = is_piecewise_testable(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a.holds == aperiodic
+        assert (p.holds, p.witness) == pt
+        assert peak < 4e6, f"{elements} elements: peak {peak / 1e6:.1f} MB"
+        peaks.append(peak / 1e6)
+    print(f"PASS criterion 10: aperiodicity and PT on 1,429 and 2,650 elements "
+          f"peak at {peaks[0]:.1f} and {peaks[1]:.1f} MB < 4 MB")

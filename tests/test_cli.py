@@ -123,6 +123,15 @@ def test_nonassociative_input_exit(files, tmp_path, capsys):
     assert "not associative" in err
 
 
+@pytest.mark.parametrize("command", ["analyze-graph", "analyze-semigroup"])
+def test_undecodable_input_exit(tmp_path, capsys, command):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00\x01")
+    code = main([command, str(bad)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_missing_file_exit(files, capsys):
     code = main(["analyze-graph", files["d_ab"] + ".nope"])
     assert code == 2

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never
-uses, or anything from the tests or the benchmark."""
+uses, or anything from the tests or the benchmark, and no function
+assigns a local it never reads."""
 
 import ast
 from pathlib import Path
@@ -49,3 +50,36 @@ def test_package_imports_no_tests_or_benchmark(path):
     leaked = sorted(m for m in _imported_modules(tree)
                     if m.split(".")[0] in ("tests", "perfbench"))
     assert leaked == [], f"{path.name} imports {leaked}"
+
+
+def _own_nodes(fn):
+    """The nodes of a function's body, not descending into nested
+    functions or classes, which have scopes of their own."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _dead_locals(path):
+    """``module.function: name`` for each local assigned and never read,
+    in the function or in a function nested in it; names starting with
+    ``_`` are exempt."""
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read.update(name for n in ast.walk(fn)
+                    if isinstance(n, (ast.Global, ast.Nonlocal)) for name in n.names)
+        dead = {n.id for n in _own_nodes(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                and not n.id.startswith("_") and n.id not in read}
+        yield from (f"{path.stem}.{fn.name}: {name}" for name in sorted(dead))
+
+
+def test_no_local_is_assigned_and_never_read():
+    dead = [d for path in sorted(PACKAGE.glob("*.py")) for d in _dead_locals(path)]
+    assert dead == []

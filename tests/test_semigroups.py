@@ -1,5 +1,6 @@
 """Semigroup decision procedures, cross-checked against the naive loops."""
 
+from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 
@@ -51,6 +52,7 @@ from tests.corpus import (
     left_zero,
     ltt_identity_failures,
     min_chain,
+    random_graph,
     rectangular_band,
     seeded,
     semigroup_zoo,
@@ -394,6 +396,38 @@ def test_j_classes_partition(i):
     total = s.element_count + 1 if adjoined else s.element_count
     flat = sorted(x for cls in classes for x in cls)
     assert flat == list(range(total))
+
+
+def _identity_cases():
+    """The corpus, the fixture graphs' transition semigroups, and those of
+    seeded two-letter graphs, every other one with letter b the identity
+    map, so that the identity is a generator, a product (D_parity: aa),
+    or missing."""
+    rng = seeded("j-classes")
+    out = list(CORPUS) + [transition_semigroup(gr).semigroup
+                          for gr in (FIX.D_triv, FIX.D_parity, FIX.D_ab)]
+    while len(out) < len(CORPUS) + 27:
+        g = rng.randrange(2, 5)
+        delta = random_graph(rng, g).delta
+        if len(out) % 2:
+            delta = tuple((row[0], p) for p, row in enumerate(delta))
+        s = transition_semigroup(TransitionGraph(2, g, delta)).semigroup
+        if s.element_count <= 30:
+            out.append(s)
+    return out
+
+
+def test_j_classes_agree_with_naive():
+    """Same classes, in the same order, as grouping elements by their
+    two-sided ideal, with an identity adjoined exactly when none exists."""
+    cases = Counter()
+    for s in _identity_cases():
+        table = naive.product_table(s.cayley)
+        e = naive.identity_of(table)
+        cases["missing" if e is None else
+              "generator" if e < s.generator_count else "product"] += 1
+        assert j_classes(s) == naive.j_classes(table), s.cayley
+    assert min(cases[k] for k in ("generator", "product", "missing")) >= 3, cases
 
 
 def _violates(table, prop, witness):
