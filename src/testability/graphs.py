@@ -43,7 +43,7 @@ def letter_transformations(gr: TransitionGraph) -> tuple[Transformation, ...]:
     """The node map of each letter, in label order."""
     if not gr.complete:
         raise IncompleteInput("graph has undefined transitions; complete it first")
-    return tuple(tuple(row[a] for row in gr.delta) for a in range(gr.alphabet_size))
+    return tuple(zip(*gr.delta))
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,26 @@ class TransitionSemigroup:
     ``label_to_generator`` maps each letter to its generator and
     ``generator_letters`` picks the first letter for each generator, so
     element indices can be translated back into readable words.
+
+    Nodes p and q with equal rows of ``delta`` are sent to the same node
+    by every letter, hence by every element (a letter followed by
+    something), so an element is stored as its map on one node per
+    distinct row: ``class_maps[x][c]`` is the image under x of the first
+    node whose row is the c-th distinct row, and ``node_class[p]`` is
+    the index of p's row.  ``transformations`` expands the full node
+    maps on demand.
     """
 
     semigroup: FiniteSemigroup
     label_to_generator: tuple[int, ...]
-    transformations: tuple[Transformation, ...]
+    class_maps: tuple[Transformation, ...]
+    node_class: tuple[int, ...]
     generator_letters: tuple[int, ...]
+
+    @property
+    def transformations(self) -> tuple[Transformation, ...]:
+        """The node map of each element, in element order."""
+        return tuple(compose(self.node_class, m) for m in self.class_maps)
 
     def element_word(self, x: int) -> tuple[int, ...]:
         """One letter word whose action is element x."""
@@ -81,13 +95,20 @@ def transition_semigroup(gr: TransitionGraph) -> TransitionSemigroup:
     in the right ones.  Only the other edges compose node maps.  Left
     rows are filled one word length at a time, after the right rows of
     that length.
+
+    Elements and generators are keyed by their maps on one node per
+    distinct row of ``delta`` (see ``TransitionSemigroup``): row-equal
+    nodes have the same image under every element, so two elements are
+    equal exactly when these restricted maps are.  A reduced edge
+    composes the restricted map of u with the full map of generator j.
     """
     letters = letter_transformations(gr)
+    classes = {row: c for c, row in enumerate(dict.fromkeys(gr.delta))}
     gens: list[Transformation] = []
     gen_letters: list[int] = []
     label_to_gen: list[int] = []
     ids: dict[Transformation, int] = {}
-    for a, tr in enumerate(letters):
+    for a, tr in enumerate(zip(*classes)):
         j = ids.get(tr)
         if j is None:
             j = len(gens)
@@ -96,6 +117,7 @@ def transition_semigroup(gr: TransitionGraph) -> TransitionSemigroup:
             gen_letters.append(a)
         label_to_gen.append(j)
     g = len(gens)
+    gen_maps = [letters[a] for a in gen_letters]
     elements = list(gens)
     first = list(range(g))
     last = list(range(g))
@@ -110,7 +132,7 @@ def transition_semigroup(gr: TransitionGraph) -> TransitionSemigroup:
             rows.append(row)
             b, s = first[u], suffix[u]
             s_row = rows[s] if s is not None else None
-            for j, tr in enumerate(gens):
+            for j, tr in enumerate(gen_maps):
                 if s_row is not None:
                     r = s_row[j]
                     p = prefix[r]
@@ -138,6 +160,7 @@ def transition_semigroup(gr: TransitionGraph) -> TransitionSemigroup:
     # Composition of maps is associative, so Light's test is skipped.
     sg._associativity = Verdict(ASSOCIATIVITY, YES)
     return TransitionSemigroup(sg, tuple(label_to_gen), tuple(elements),
+                               tuple(map(classes.__getitem__, gr.delta)),
                                tuple(gen_letters))
 
 

@@ -131,7 +131,7 @@ def parse_graph(text: str) -> TransitionGraph:
         raise NonpositiveHeader(f"node count {g} must be positive",
                                 *nums.where(1), str(g))
     cells = _cells(nums, g * a, UNDEFINED, g - 1, "transition target", "transition")
-    delta = tuple(tuple(cells[i:i + a]) for i in range(0, g * a, a))
+    delta = tuple(zip(*[iter(cells)] * a))
     return TransitionGraph(a, g, delta)
 
 

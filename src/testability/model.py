@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import chain
 from operator import itemgetter
 
 UNDEFINED = -1
@@ -102,28 +103,31 @@ class TransitionGraph:
             raise ValueError(f"alphabet size {self.alphabet_size} must be positive")
         if self.node_count < 1:
             raise ValueError(f"node count {self.node_count} must be positive")
-        delta = tuple(tuple(int(c) for c in row) for row in self.delta)
+        delta = tuple(tuple(map(int, row)) for row in self.delta)
         object.__setattr__(self, "delta", delta)
         if len(delta) != self.node_count:
             raise ValueError(f"expected {self.node_count} rows, got {len(delta)}")
-        for p, row in enumerate(delta):
-            if len(row) != self.alphabet_size:
-                raise ValueError(f"row {p} has {len(row)} cells, expected {self.alphabet_size}")
-            for c in row:
-                if c != UNDEFINED and not 0 <= c < self.node_count:
-                    raise ValueError(f"cell {c} at node {p} out of range")
+        if (set(map(len, delta)) != {self.alphabet_size}
+                or min(chain.from_iterable(delta)) < UNDEFINED
+                or max(chain.from_iterable(delta)) >= self.node_count):
+            for p, row in enumerate(delta):  # name the first bad row or cell
+                if len(row) != self.alphabet_size:
+                    raise ValueError(f"row {p} has {len(row)} cells, expected {self.alphabet_size}")
+                for c in row:
+                    if c != UNDEFINED and not 0 <= c < self.node_count:
+                        raise ValueError(f"cell {c} at node {p} out of range")
         sink = self.completed_sink
         if sink is not None:
             if not 0 <= sink < self.node_count:
                 raise ValueError(f"sink {sink} out of range")
-            if any(c == UNDEFINED for row in delta for c in row):
+            if UNDEFINED in chain.from_iterable(delta):
                 raise ValueError("a completed graph may not contain UNDEFINED cells")
             if any(c != sink for c in delta[sink]):
                 raise ValueError(f"sink {sink} must loop to itself on every label")
 
     @property
     def complete(self) -> bool:
-        return all(c != UNDEFINED for row in self.delta for c in row)
+        return UNDEFINED not in chain.from_iterable(self.delta)
 
 
 class FiniteSemigroup:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import add
+
 from .model import YES, FiniteSemigroup, IncompleteInput, TransitionGraph, Verdict
 from .semigroups import ASSOCIATIVITY
 
@@ -54,13 +56,9 @@ def graph_direct_product(gr1: TransitionGraph, gr2: TransitionGraph) -> Transiti
         raise IncompleteInput("direct product needs complete graphs")
     a = min(gr1.alphabet_size, gr2.alphabet_size)
     g2 = gr2.node_count
-    delta = []
-    for p in range(gr1.node_count):
-        row1 = gr1.delta[p]
-        for q in range(g2):
-            row2 = gr2.delta[q]
-            delta.append(tuple(row1[c] * g2 + row2[c] for c in range(a)))
-    return TransitionGraph(a, gr1.node_count * g2, tuple(delta))
+    scaled = [tuple(c * g2 for c in row1[:a]) for row1 in gr1.delta]
+    delta = tuple(tuple(map(add, s, row2)) for s in scaled for row2 in gr2.delta)
+    return TransitionGraph(a, gr1.node_count * g2, delta)
 
 
 def graph_power(gr: TransitionGraph, m: int) -> TransitionGraph:

@@ -29,6 +29,7 @@ from testability import (
     THRESHOLD_LOCAL_TESTABILITY,
     TransitionGraph,
     YES,
+    analyze_graph,
     analyze_semigroup,
     fixtures,
     graph_direct_product,
@@ -417,3 +418,33 @@ def test_criterion_10_aperiodicity_and_pt_memory():
         peaks.append(peak / 1e6)
     print(f"PASS criterion 10: aperiodicity and PT on 1,429 and 2,650 elements "
           f"peak at {peaks[0]:.1f} and {peaks[1]:.1f} MB < 4 MB")
+
+
+def test_criterion_11_closure_memory():
+    # The 40,000-node product of criterion 8's 200-node graph with
+    # itself has only 1,296 distinct rows, and the closure stores each
+    # of its 840 elements on one node per row: a few MB instead of the
+    # 270 MB that 840 maps over all 40,000 nodes take.  The traced call
+    # closes the transition semigroup once and checks LT on it.
+    rng = random.Random("testability:capacity-graph-6-0")
+    core = rng.sample(range(200), 6)
+    gr = TransitionGraph(2, 200, tuple(tuple(rng.choice(core) for _ in range(2))
+                                       for _ in range(200)))
+    t0 = time.perf_counter()
+    big = graph_direct_product(gr, gr)
+    assert big.node_count == 40_000
+    tracemalloc.start()
+    try:
+        report = analyze_graph(big, [LOCAL_TESTABILITY])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - t0
+    assert report.stats["semigroup_elements"] == 840
+    v = report.verdicts[0]
+    assert (v.holds, v.witness) == (NO, (13, 29))
+    assert v.detail == "e=13: 29*29 != 29; witness words: bbb, bbbb"
+    assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+    assert elapsed < 5.0
+    print(f"PASS criterion 11: 840 elements of a 40,000-node graph closed and "
+          f"checked for LT at {peak / 1e6:.1f} MB peak < 16 MB in {elapsed:.2f}s")

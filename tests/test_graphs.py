@@ -125,6 +125,46 @@ def test_closure_matches_the_breadth_first_reference():
     assert len(kinds) == 6
 
 
+def _core_graph(rng, n, core, letters, hole=0.0):
+    """Every cell is a node of a random core of ``core`` nodes, or
+    undefined with probability ``hole``: many nodes share a row."""
+    targets = rng.sample(range(n), core)
+    return TransitionGraph(letters, n, tuple(
+        tuple(-1 if rng.random() < hole else rng.choice(targets) for _ in range(letters))
+        for _ in range(n)))
+
+
+def _row_class_corpus():
+    """Seeded graphs whose nodes fall into few classes of equal rows."""
+    rng = seeded("row-classes")
+    corpus = [_core_graph(rng, rng.randint(30, 60), rng.randint(3, 6), rng.randint(2, 3))
+              for _ in range(12)]
+    corpus += [complete_with_sink(_core_graph(rng, rng.randint(20, 40), rng.randint(2, 5),
+                                              rng.randint(1, 3), hole=0.4))
+               for _ in range(12)]
+    corpus.append(TransitionGraph(3, 20, ((4, 4, 7),) * 20))  # constant letters
+    return corpus
+
+
+def test_row_class_closure_matches_the_reference():
+    """Elements are stored on one node per distinct row of the table;
+    expanded, they must be the reference's full node maps."""
+    merged = 0
+    for gr in _row_class_corpus():
+        ts = transition_semigroup(gr)
+        rows, maps, words, label_to_gen, gen_letters = naive.transition_closure(gr)
+        classes = len(set(gr.delta))
+        assert ts.semigroup.cayley == rows
+        assert ts.transformations == maps
+        assert ts.semigroup.factorization == words
+        assert ts.label_to_generator == label_to_gen
+        assert ts.generator_letters == gen_letters
+        assert {len(m) for m in ts.class_maps} == {classes}
+        assert len(ts.node_class) == gr.node_count
+        merged += 4 * classes <= gr.node_count
+    assert merged >= 5
+
+
 def test_closure_composes_only_reduced_edges(monkeypatch):
     """Products along words that are not the least word of their element
     are looked up; a closure that composed every (element, generator)

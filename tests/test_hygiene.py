@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never
-uses, or anything from the tests or the benchmark, and no function
-assigns a local it never reads."""
+uses, anything from the tests or the benchmark, or anything outside the
+standard library, and no function assigns a local it never reads."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,16 @@ def test_package_imports_no_tests_or_benchmark(path):
     leaked = sorted(m for m in _imported_modules(tree)
                     if m.split(".")[0] in ("tests", "perfbench"))
     assert leaked == [], f"{path.name} imports {leaked}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_only_the_standard_library(path):
+    """The package has no runtime dependencies: every absolute import
+    names a standard-library module; the rest are relative."""
+    tree = ast.parse(path.read_text())
+    foreign = sorted(m for m in _imported_modules(tree)
+                     if m.split(".")[0] not in sys.stdlib_module_names)
+    assert foreign == [], f"{path.name} imports {foreign}"
 
 
 def _own_nodes(fn):
