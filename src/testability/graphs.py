@@ -26,7 +26,8 @@ K_TESTABILITY = "k_testability"
 
 
 def complete_with_sink(gr: TransitionGraph) -> TransitionGraph:
-    """Route every missing transition to one new self-looping node.
+    """Route every missing transition to one new self-looping node,
+    numbered last.
 
     Complete graphs come back unchanged (same object), so completion is
     idempotent.
@@ -34,9 +35,9 @@ def complete_with_sink(gr: TransitionGraph) -> TransitionGraph:
     if gr.complete:
         return gr
     sink = gr.node_count
-    delta = tuple(tuple(sink if c == UNDEFINED else c for c in row) for row in gr.delta)
-    delta += ((sink,) * gr.alphabet_size,)
-    return TransitionGraph(gr.alphabet_size, gr.node_count + 1, delta, sink)
+    rows = gr.delta + ((sink,) * gr.alphabet_size,)
+    return TransitionGraph(gr.alphabet_size, sink + 1,
+                           ([sink if c == UNDEFINED else c for c in row] for row in rows))
 
 
 def letter_transformations(gr: TransitionGraph) -> tuple[Transformation, ...]:
@@ -194,9 +195,10 @@ def is_k_testable(gr: TransitionGraph, k: int, *, t: int = 1,
 
     Decided by the profile oracle; a "no" carries two words with equal
     profiles and different node maps, an "unknown" means the profile
-    state budget ran out before the search settled.
+    state budget ran out before the search settled.  A partial graph is
+    completed with a sink first.
     """
-    return _k_testability(transition_semigroup(gr), k, t, budget)
+    return analyze_graph(gr, (), k=k, t=t, budget=budget).verdicts[0]
 
 
 def _k_testability(ts: TransitionSemigroup, k: int, t: int, budget: int) -> Verdict:
@@ -217,9 +219,9 @@ def _k_testability(ts: TransitionSemigroup, k: int, t: int, budget: int) -> Verd
 
 def order_of_local_testability(gr: TransitionGraph, k_max: int = DEFAULT_K_MAX, *,
                                t: int = 1, budget: int = DEFAULT_BUDGET) -> OrderResult:
-    """Least window length k <= k_max whose profiles determine the action."""
-    ts = transition_semigroup(gr)
-    return _order_search(ts.semigroup, ts.label_to_generator, k_max, t, budget)
+    """Least window length k <= k_max whose profiles determine the action;
+    a partial graph is completed with a sink first."""
+    return analyze_graph(gr, (), order=True, k_max=k_max, t=t, budget=budget).order
 
 
 def _with_witness_words(v: Verdict, ts: TransitionSemigroup) -> Verdict:

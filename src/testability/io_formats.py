@@ -131,8 +131,7 @@ def parse_graph(text: str) -> TransitionGraph:
         raise NonpositiveHeader(f"node count {g} must be positive",
                                 *nums.where(1), str(g))
     cells = _cells(nums, g * a, UNDEFINED, g - 1, "transition target", "transition")
-    delta = tuple(zip(*[iter(cells)] * a))
-    return TransitionGraph(a, g, delta)
+    return TransitionGraph(a, g, zip(*[iter(cells)] * a))
 
 
 def parse_semigroup(text: str) -> FiniteSemigroup:
@@ -151,7 +150,7 @@ def parse_semigroup(text: str) -> FiniteSemigroup:
         raise HeaderInconsistent(f"generator count {gn} must be in 1..{n}",
                                  *nums.where(1), str(gn))
     cells = _cells(nums, n * gn, 0, n - 1, "product", "product")
-    s = FiniteSemigroup(tuple(cells[i:i + gn]) for i in range(0, n * gn, gn))
+    s = FiniteSemigroup(cells[i:i + gn] for i in range(0, n * gn, gn))
     verdict = check_associativity(s)
     if verdict.holds == NO:
         raise NotAssociative(verdict.witness)

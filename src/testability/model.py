@@ -82,21 +82,34 @@ def format_word(word) -> str:
     return ".".join(str(c) for c in word)
 
 
+def _check_cells(rows, width: int, low: int, where: str) -> None:
+    """Every row has ``width`` cells, each in low..len(rows)-1.  Only a
+    table that fails this C-level check is walked, to name its first bad
+    row or cell ("cell {c} {where} {row}")."""
+    high = len(rows) - 1
+    if (set(map(len, rows)) != {width}
+            or min(chain.from_iterable(rows)) < low
+            or max(chain.from_iterable(rows)) > high):
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
+            for c in row:
+                if not low <= c <= high:
+                    raise ValueError(f"cell {c} {where} {i} out of range")
+
+
 @dataclass(frozen=True)
 class TransitionGraph:
     """Transition table of a deterministic automaton, no accepting states.
 
     ``delta[p][c]`` is the node reached from node p under label c, or
-    UNDEFINED (-1) where the transition is missing.  ``completed_sink``
-    records the sink node index when the graph came out of
-    ``complete_with_sink``; it is bookkeeping, not structure, and is
-    ignored by equality.
+    UNDEFINED (-1) where the transition is missing.  Any iterable of
+    rows is accepted; construction stores it once, as tuples of ints.
     """
 
     alphabet_size: int
     node_count: int
     delta: tuple[tuple[int, ...], ...]
-    completed_sink: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.alphabet_size < 1:
@@ -107,23 +120,7 @@ class TransitionGraph:
         object.__setattr__(self, "delta", delta)
         if len(delta) != self.node_count:
             raise ValueError(f"expected {self.node_count} rows, got {len(delta)}")
-        if (set(map(len, delta)) != {self.alphabet_size}
-                or min(chain.from_iterable(delta)) < UNDEFINED
-                or max(chain.from_iterable(delta)) >= self.node_count):
-            for p, row in enumerate(delta):  # name the first bad row or cell
-                if len(row) != self.alphabet_size:
-                    raise ValueError(f"row {p} has {len(row)} cells, expected {self.alphabet_size}")
-                for c in row:
-                    if c != UNDEFINED and not 0 <= c < self.node_count:
-                        raise ValueError(f"cell {c} at node {p} out of range")
-        sink = self.completed_sink
-        if sink is not None:
-            if not 0 <= sink < self.node_count:
-                raise ValueError(f"sink {sink} out of range")
-            if UNDEFINED in chain.from_iterable(delta):
-                raise ValueError("a completed graph may not contain UNDEFINED cells")
-            if any(c != sink for c in delta[sink]):
-                raise ValueError(f"sink {sink} must loop to itself on every label")
+        _check_cells(delta, self.alphabet_size, UNDEFINED, "at node")
 
     @property
     def complete(self) -> bool:
@@ -152,19 +149,14 @@ class FiniteSemigroup:
                  "_order", "_parent", "_rows", "_associativity")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(c) for c in row) for row in rows)
+        rows = tuple(tuple(map(int, row)) for row in rows)
         n = len(rows)
         if n == 0:
             raise ValueError("a semigroup needs at least one element")
         g = len(rows[0])
         if not 1 <= g <= n:
             raise ValueError(f"generator count {g} not in 1..{n}")
-        for x, row in enumerate(rows):
-            if len(row) != g:
-                raise ValueError(f"row {x} has {len(row)} cells, expected {g}")
-            for c in row:
-                if not 0 <= c < n:
-                    raise ValueError(f"cell {c} in row {x} out of range")
+        _check_cells(rows, g, 0, "in row")
 
         parent: list[tuple[int, int] | None] = [None] * n
         fact: list[tuple[int, ...] | None] = [None] * n

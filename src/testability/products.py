@@ -57,8 +57,8 @@ def graph_direct_product(gr1: TransitionGraph, gr2: TransitionGraph) -> Transiti
     a = min(gr1.alphabet_size, gr2.alphabet_size)
     g2 = gr2.node_count
     scaled = [tuple(c * g2 for c in row1[:a]) for row1 in gr1.delta]
-    delta = tuple(tuple(map(add, s, row2)) for s in scaled for row2 in gr2.delta)
-    return TransitionGraph(a, gr1.node_count * g2, delta)
+    return TransitionGraph(a, gr1.node_count * g2,
+                           (map(add, s, row2) for s in scaled for row2 in gr2.delta))
 
 
 def graph_power(gr: TransitionGraph, m: int) -> TransitionGraph:

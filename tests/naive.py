@@ -13,7 +13,7 @@ meant for small inputs.
 
 from __future__ import annotations
 
-from testability import OracleResult, profile_of
+from testability import NotGenerated, OracleResult, profile_of
 
 LOCAL_PROPS = ("local_idempotence", "local_testability", "strict_local_testability",
                "right_local_testability", "left_local_testability")
@@ -34,6 +34,58 @@ def closure_words(cayley):
                 queue.append(y)
     assert len(words) == n, "table is not generated by its generators"
     return [words[x] for x in range(n)]
+
+
+def graph_rows(alphabet_size, node_count, delta):
+    """The rows ``TransitionGraph`` stores, or the ValueError it raises:
+    the header first, then the row count, then each row's length and
+    cells in order."""
+    if alphabet_size < 1:
+        raise ValueError(f"alphabet size {alphabet_size} must be positive")
+    if node_count < 1:
+        raise ValueError(f"node count {node_count} must be positive")
+    rows = [list(row) for row in delta]
+    if len(rows) != node_count:
+        raise ValueError(f"expected {node_count} rows, got {len(rows)}")
+    for p, row in enumerate(rows):
+        if len(row) != alphabet_size:
+            raise ValueError(f"row {p} has {len(row)} cells, expected {alphabet_size}")
+        for c in row:
+            if c != -1 and not 0 <= c < node_count:
+                raise ValueError(f"cell {c} at node {p} out of range")
+    return tuple(tuple(row) for row in rows)
+
+
+def semigroup_rows(cayley):
+    """The rows ``FiniteSemigroup`` stores, or what it raises: a
+    ValueError for the shape (element count, generator count, then each
+    row in order), NotGenerated for the least element the generators do
+    not reach."""
+    rows = [list(row) for row in cayley]
+    n = len(rows)
+    if n == 0:
+        raise ValueError("a semigroup needs at least one element")
+    g = len(rows[0])
+    if not 1 <= g <= n:
+        raise ValueError(f"generator count {g} not in 1..{n}")
+    for x, row in enumerate(rows):
+        if len(row) != g:
+            raise ValueError(f"row {x} has {len(row)} cells, expected {g}")
+        for c in row:
+            if not 0 <= c < n:
+                raise ValueError(f"cell {c} in row {x} out of range")
+    reached = set(range(g))
+    frontier = list(reached)
+    while frontier:
+        x = frontier.pop()
+        for y in rows[x]:
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    for x in range(n):
+        if x not in reached:
+            raise NotGenerated(x)
+    return tuple(tuple(row) for row in rows)
 
 
 def transition_closure(gr):

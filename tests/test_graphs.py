@@ -37,7 +37,6 @@ def test_completion_adds_one_sink():
     partial = TransitionGraph(2, 2, ((0, -1), (1, 1)))
     done = complete_with_sink(partial)
     assert done.delta == ((0, 2), (1, 1), (2, 2))
-    assert done.completed_sink == 2
     assert complete_with_sink(done) is done
 
 
@@ -220,6 +219,12 @@ def test_k_testable_examples():
     assert v.holds == "yes"
     assert "k=2" in v.detail
     assert is_k_testable(FIX.D_ab, 1).holds == "no"
+    # a partial graph is completed with a sink, not rejected
+    partial = TransitionGraph(2, 2, ((1, -1), (-1, 0)))
+    v = is_k_testable(partial, 1)
+    assert (v.holds, v.witness) == ("no", ((0,), (0, 0)))
+    assert v == is_k_testable(complete_with_sink(partial), 1)
+    assert is_k_testable(partial, 2).holds == "yes"
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -254,6 +259,10 @@ def test_order_examples():
     assert (res.status, res.k, res.largest_failing) == ("none", None, 8)
     res = order_of(FIX.D_parity, 3)
     assert (res.status, res.largest_failing) == ("none", 3)
+    partial = TransitionGraph(2, 2, ((1, -1), (-1, 0)))
+    res = order_of(partial)
+    assert (res.status, res.k, res.largest_failing) == ("found", 2, 1)
+    assert res == order_of(complete_with_sink(partial))
 
 
 def test_order_with_threshold():

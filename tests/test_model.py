@@ -1,5 +1,7 @@
 """Core value types: construction, validation, word helpers."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +17,8 @@ from testability import (
     letter_name,
 )
 from testability.model import OrderResult, PropertyReport
+from tests import naive
+from tests.corpus import random_graph, random_partial_graph, seeded, semigroup_zoo
 
 FIX = fixtures()
 
@@ -95,19 +99,71 @@ def test_graph_rejects_bad_shapes():
         TransitionGraph(1, 2, ((0,), (-2,)))  # only -1 marks a hole
 
 
-def test_graph_sink_bookkeeping_is_validated():
-    ok = TransitionGraph(1, 2, ((1,), (1,)), completed_sink=1)
-    assert ok.completed_sink == 1
-    with pytest.raises(ValueError):
-        TransitionGraph(1, 2, ((1,), (0,)), completed_sink=1)  # 1 does not loop
-    with pytest.raises(ValueError):
-        TransitionGraph(1, 2, ((-1,), (1,)), completed_sink=1)  # still partial
+def _outcome(build, *args):
+    """("ok", value) or the type and message of what ``build`` raised."""
+    try:
+        return "ok", build(*args)
+    except (ValueError, NotGenerated) as exc:
+        return type(exc), str(exc)
 
 
-def test_graph_equality_ignores_sink_mark():
-    plain = TransitionGraph(1, 2, ((1,), (1,)))
-    marked = TransitionGraph(1, 2, ((1,), (1,)), completed_sink=1)
-    assert plain == marked
+def _malform(rng, rows, low, high):
+    """``rows`` as lists with zero to three seeded defects: a row one
+    cell short or long, a row dropped or repeated, a cell just outside
+    low..high."""
+    rows = [list(row) for row in rows]
+    for _ in range(rng.choice((0, 1, 1, 1, 2, 3))):
+        if not rows:
+            break
+        defect, row = rng.randrange(3), rng.randrange(len(rows))
+        if defect == 0:
+            if rows[row] and rng.random() < 0.5:
+                rows[row].pop()
+            else:
+                rows[row].append(rng.randint(low, high))
+        elif defect == 1:
+            if rng.random() < 0.5:
+                del rows[row]
+            else:
+                rows.insert(row, list(rows[row]))
+        elif rows[row]:
+            rows[row][rng.randrange(len(rows[row]))] = rng.choice(
+                (low - 1 - rng.randrange(3), high + 1 + rng.randrange(3)))
+    return rows
+
+
+def _kind(outcome):
+    """The outcome with every number in its message blanked out."""
+    if outcome[0] in ("ok", NotGenerated):
+        return outcome[0]
+    return re.sub(r"-?\d+", "#", outcome[1])
+
+
+def test_constructor_errors_match_the_row_by_row_reference():
+    """Seeded malformed tables raise the exception type and message of
+    the row-by-row reference; valid ones are stored as it stores them."""
+    rng = seeded("constructor-errors")
+    graph_kinds = set()
+    for _ in range(300):
+        a, g = rng.randrange(1, 4), rng.randrange(1, 6)
+        base = (random_partial_graph if rng.random() < 0.5 else random_graph)(rng, g, a)
+        delta = _malform(rng, base.delta, -1, g - 1)
+        want = _outcome(naive.graph_rows, a, g, delta)
+        assert _outcome(lambda: TransitionGraph(a, g, iter(delta)).delta) == want
+        graph_kinds.add(_kind(want))
+    assert graph_kinds == {"ok", "expected # rows, got #", "row # has # cells, expected #",
+                           "cell # at node # out of range"}
+
+    zoo = semigroup_zoo()
+    semigroup_kinds = set()
+    for _ in range(300):
+        s = rng.choice(zoo)
+        rows = _malform(rng, s.cayley, 0, s.element_count - 1)
+        want = _outcome(naive.semigroup_rows, rows)
+        assert _outcome(lambda: FiniteSemigroup(rows).cayley) == want
+        semigroup_kinds.add(_kind(want))
+    assert semigroup_kinds >= {"ok", NotGenerated, "generator count # not in #..#",
+                               "row # has # cells, expected #", "cell # in row # out of range"}
 
 
 def test_complete_flag():
