@@ -170,8 +170,13 @@ def is_1_testable(gr: TransitionGraph) -> Verdict:
 
     Then a word's action depends only on its letter set.  Witnesses are
     (letter, node) for idempotence and (letter, letter, node) for
-    commutation, least first.
+    commutation, least first.  A partial graph is completed with a sink
+    first; the transition semigroup is not built.
     """
+    return analyze_graph(gr, (ONE_TESTABILITY,)).verdicts[0]
+
+
+def _one_testability(gr: TransitionGraph) -> Verdict:
     letters = letter_transformations(gr)
     for u, tu in enumerate(letters):
         for p in range(gr.node_count):
@@ -258,7 +263,7 @@ def analyze_graph(gr: TransitionGraph, properties=None, *, order: bool = False,
     done: dict = {}
     for p in props:
         if p == ONE_TESTABILITY:
-            verdicts.append(is_1_testable(completed))
+            verdicts.append(_one_testability(completed))
         else:
             verdicts.append(_with_witness_words(_check(ts.semigroup, p, done), ts))
     if k is not None:

@@ -83,8 +83,7 @@ def local_submonoid(s: FiniteSemigroup, e: int) -> tuple[int, ...]:
     """The set e*S*e = {e*x*e}, ascending; e must be idempotent."""
     if s.prod(e, e) != e:
         raise NotIdempotent(f"element {e} is not idempotent")
-    left = set(s.row(e))
-    return tuple(sorted({s.row(z)[e] for z in left}))
+    return tuple(sorted({s.prod(z, e) for z in set(s.row(e))}))
 
 
 def check_local_property(s: FiniteSemigroup, prop: str) -> Verdict:
@@ -153,42 +152,38 @@ def is_threshold_locally_testable(s: FiniteSemigroup) -> Verdict:
       q, and trivial when p = q.
     - eSf = e*(Sf) = (eS)*f depends only on the sets eS and Sf, that is
       on the R-class of e and the L-class of f, and whether the identity
-      holds depends only on eSf; a class pair that passed is not
-      scanned again.
+      holds depends only on eSf; only the least idempotent of each class
+      is scanned.  For idempotents eS = dS exactly when e*d = d and
+      d*e = e, and Sf = Sd exactly when f*d = f and d*f = d.
 
-    Pairs (e, f) are visited in ascending order, so the first failing
-    class pair belongs to the least failing (e, f), and only that pair
-    is rescanned over all u in S for the lexicographically least
-    (e, f, x, u, y).
+    The least (e, f) of a class pair is the pair of its least members,
+    and these pairs are visited in ascending order, so the first one
+    that fails is the least failing (e, f); only it is rescanned over
+    all u in S for the lexicographically least (e, f, x, u, y).
     """
     aperiodic = is_aperiodic(s)
     if aperiodic.holds == NO:
         return Verdict(THRESHOLD_LOCAL_TESTABILITY, NO, aperiodic.witness,
                        "not aperiodic: " + aperiodic.detail)
-    n = s.element_count
-    row = s.row
-    idem = idempotents(s)
-    r_ids: dict[frozenset, int] = {}
-    l_ids: dict[frozenset, int] = {}
-    r_class = [r_ids.setdefault(frozenset(row(e)), len(r_ids)) for e in idem]
-    l_class = [l_ids.setdefault(frozenset(row(x)[f] for x in range(n)), len(l_ids))
-               for f in idem]
-    passed = set()
-    for e, r in zip(idem, r_class):
-        for f, l in zip(idem, l_class):
-            if (r, l) in passed:
-                continue
+    prod = s.prod
+    r_reps, l_reps = [], []
+    for e in idempotents(s):
+        if all(prod(e, d) != d or prod(d, e) != e for d in r_reps):
+            r_reps.append(e)
+        if all(prod(e, d) != e or prod(d, e) != d for d in l_reps):
+            l_reps.append(e)
+    for e in r_reps:
+        for f in l_reps:
             if not _sandwich_identity_holds(s, e, f):
                 return _least_sandwich_witness(s, e, f)
-            passed.add((r, l))
     return Verdict(THRESHOLD_LOCAL_TESTABILITY, YES)
 
 
 def _sandwich_identity_holds(s: FiniteSemigroup, e: int, f: int) -> bool:
     """p*w*q == q*w*p for all p < q in eSf and w in fSe."""
-    row = s.row
-    esf = list({row(v)[f] for v in set(row(e))})
-    fse = {row(v)[e] for v in set(row(f))}
+    row, prod = s.row, s.prod
+    esf = list({prod(v, f) for v in set(row(e))})
+    fse = {prod(v, e) for v in set(row(f))}
     for w in fse:
         pw_rows = [row(row(p)[w]) for p in esf]
         for a, p in enumerate(esf):
@@ -205,19 +200,16 @@ def _least_sandwich_witness(s: FiniteSemigroup, e: int, f: int) -> Verdict:
     Only the first x reaching each distinct value e*x*f can be part of a
     least witness, so x and y run over those representatives.
     """
-    sandwich = [s.row(v)[f] for v in s.row(e)]
-    firsts = []
-    taken = set()
-    for x, p in enumerate(sandwich):
-        if p not in taken:
-            taken.add(p)
-            firsts.append((x, p))
-    for x, p in firsts:
-        row_p = s.row(p)
-        for u in range(s.element_count):
-            row_pu = s.row(row_p[u])
-            for y, q in firsts:
-                if row_pu[q] != s.row(s.row(q)[u])[p]:
+    prod = s.prod
+    n = s.element_count
+    firsts: dict[int, int] = {}
+    for x in range(n):
+        firsts.setdefault(prod(prod(e, x), f), x)
+    for p, x in firsts.items():
+        for u in range(n):
+            pu = prod(p, u)
+            for q, y in firsts.items():
+                if prod(pu, q) != prod(prod(q, u), p):
                     return Verdict(
                         THRESHOLD_LOCAL_TESTABILITY, NO, (e, f, x, u, y),
                         f"e={e}, f={f}: exf*u*eyf != eyf*u*exf "

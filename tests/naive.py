@@ -216,6 +216,18 @@ def check_ltt(table):
     return "yes", None
 
 
+def class_representatives(table):
+    """The least idempotent of each R-class and of each L-class, found by
+    comparing the sets eS and Se of the full table."""
+    n = len(table)
+    r, l = {}, {}
+    for e in range(n):
+        if table[e][e] == e:
+            r.setdefault(frozenset(table[e]), e)
+            l.setdefault(frozenset(table[x][e] for x in range(n)), e)
+    return list(r.values()), list(l.values())
+
+
 def two_sided_ideal(table, x):
     """The set of all u*x*v with u, v optional."""
     out = {x}

@@ -38,6 +38,7 @@ from testability import (
     is_aperiodic,
     is_k_testable,
     is_piecewise_testable,
+    is_threshold_locally_testable,
     parse_graph,
     parse_semigroup,
     profile_determines,
@@ -391,15 +392,18 @@ def test_criterion_9_worst_case_yes_instance():
     print(f"PASS criterion 9: n=300 yes-instance analyzed in {elapsed:.1f}s < 30s")
 
 
+# The 8-node Catalan graph: letter i sends node i to i+1 and fixes the
+# rest; its maps are the order-preserving extensive maps of the chain,
+# 1,429 besides the identity.
+CATALAN_8 = TransitionGraph(7, 8, tuple(tuple(p + 1 if p == i else p for i in range(7))
+                                        for p in range(8)))
+
+
 def test_criterion_10_aperiodicity_and_pt_memory():
     # Aperiodicity and piecewise testability read the Cayley rows and
-    # the generator rows only: no n x n table.  The 8-node Catalan graph
-    # (letter i sends node i to i+1 and fixes the rest; its maps are the
-    # order-preserving extensive maps of the chain, 1,429 besides the
-    # identity) is J-trivial, so both scans run to the end.
-    catalan = TransitionGraph(7, 8, tuple(tuple(p + 1 if p == i else p for i in range(7))
-                                          for p in range(8)))
-    cases = ((catalan, 1429, YES, (YES, None)),
+    # the generator rows only: no n x n table.  The 8-node Catalan
+    # graph's semigroup is J-trivial, so both scans run to the end.
+    cases = ((CATALAN_8, 1429, YES, (YES, None)),
              (random_graph(seeded("froidure-pin-count"), 6, 3), 2650, NO, (NO, (0, 5))))
     peaks = []
     for gr, elements, aperiodic, pt in cases:
@@ -448,3 +452,22 @@ def test_criterion_11_closure_memory():
     assert elapsed < 5.0
     print(f"PASS criterion 11: 840 elements of a 40,000-node graph closed and "
           f"checked for LT at {peak / 1e6:.1f} MB peak < 16 MB in {elapsed:.2f}s")
+
+
+def test_criterion_12_threshold_memory():
+    # LTT picks one idempotent per R- and L-class by products with the
+    # smaller class representatives, so no n x n table is built just to
+    # tell the classes apart.  The 8-node Catalan semigroup fails the
+    # identity at its first pair, whose rows stay well under 8 MB.
+    s = transition_semigroup(CATALAN_8).semigroup
+    assert s.element_count == 1429
+    tracemalloc.start()
+    try:
+        v = is_threshold_locally_testable(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (v.holds, v.witness) == (NO, (0, 0, 0, 1, 2))
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+    print(f"PASS criterion 12: LTT on 1,429 elements answers no at "
+          f"{peak / 1e6:.1f} MB peak < 8 MB")

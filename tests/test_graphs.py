@@ -196,6 +196,10 @@ def test_1_testable_examples():
     assert v.detail == "letter a is not idempotent at node 0"
     v = is_1_testable(FIX.D_ab)
     assert v.witness == (0, 0)
+    # completed with a sink first: a sends 0 to 1 and 1 to the sink
+    v = is_1_testable(TransitionGraph(2, 2, ((1, -1), (-1, 0))))
+    assert (v.holds, v.witness) == ("no", (0, 0))
+    assert v.detail == "letter a is not idempotent at node 0"
 
 
 def test_1_testable_commutation_witness():
@@ -312,6 +316,9 @@ def test_analyze_graph_builds_the_transition_semigroup_once(monkeypatch):
     assert builds == [FIX.D_ab]
     assert report.verdict("k_testability").holds == "yes"
     assert report.order.k == 2
+    builds.clear()
+    assert is_1_testable(FIX.D_ab).holds == "no"
+    assert builds == []
 
 
 def test_analyze_graph_full_map():

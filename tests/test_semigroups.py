@@ -47,6 +47,7 @@ from testability.semigroups import (
 )
 from tests import naive
 from tests.corpus import (
+    LTT_IDENTITY_FAILURE_GRAPHS,
     SANDWICH_PAIR_GRAPH,
     cyclic_group,
     left_zero,
@@ -54,6 +55,7 @@ from tests.corpus import (
     min_chain,
     random_graph,
     rectangular_band,
+    right_zero,
     seeded,
     semigroup_zoo,
     small_transformation_semigroups,
@@ -323,6 +325,35 @@ def test_threshold_identity_failure_agrees_with_naive(s):
     assert len(v.witness) == 5
 
 
+def test_threshold_agrees_with_naive_with_and_without_cached_rows():
+    # prod folds over the right factor's word until the left factor's
+    # row is cached, then reads the row: both branches must give the
+    # same verdict and witness.
+    rng = seeded("ltt-fresh-rows")
+    graphs = [TransitionGraph(2, len(delta), delta)
+              for delta in LTT_IDENTITY_FAILURE_GRAPHS]
+    tables = set()
+    while len(graphs) < 16:
+        gr = random_graph(rng, rng.randrange(4, 7))
+        s = transition_semigroup(gr).semigroup
+        if (4 <= s.element_count <= 12 and s.cayley not in tables
+                and is_aperiodic(s).holds == "yes"):
+            tables.add(s.cayley)
+            graphs.append(gr)
+    verdicts = Counter()
+    for gr in graphs:
+        s = transition_semigroup(gr).semigroup
+        expect = naive.check_ltt(naive.product_table(s.cayley))
+        assert not s._rows
+        v = is_threshold_locally_testable(s)
+        assert (v.holds, v.witness) == expect
+        assert len(s.product) == len(s._rows) == s.element_count
+        v = is_threshold_locally_testable(s)
+        assert (v.holds, v.witness) == expect
+        verdicts[v.holds] += 1
+    assert verdicts == {"yes": 10, "no": 6}
+
+
 def test_sandwich_scan_is_exact_per_pair():
     members = ltt_identity_failures()
     members.append(transition_semigroup(
@@ -356,6 +387,24 @@ def test_threshold_scans_each_class_pair_once(monkeypatch):
     square = semigroup_direct_product(rectangular_band(2, 2), min_chain(3))
     assert is_threshold_locally_testable(square).holds == "yes"
     assert len(scanned) == 6 * 6 < len(idempotents(square)) ** 2
+    # The scanned pairs are the least idempotents of the R- and L-classes,
+    # found from the eS and Se sets of the full table, in ascending
+    # order, up to the witness pair on a "no".
+    members = [t for t in CORPUS + ltt_identity_failures()
+               if is_aperiodic(t).holds == "yes"]
+    verdicts = Counter()
+    for t in members:
+        for s in (t, semigroup_direct_product(t, left_zero(2)),
+                  semigroup_direct_product(t, right_zero(2))):
+            r, l = naive.class_representatives(naive.product_table(s.cayley))
+            pairs = [(e, f) for e in r for f in l]
+            scanned.clear()
+            v = is_threshold_locally_testable(s)
+            if v.holds == "no":
+                pairs = pairs[:pairs.index(v.witness[:2]) + 1]
+            assert scanned == pairs
+            verdicts[v.holds] += 1
+    assert verdicts["yes"] and verdicts["no"]
 
 
 @pytest.mark.parametrize("i", MEMBERS, ids=IDS)
