@@ -55,26 +55,11 @@ class TransitionSemigroup:
     ``label_to_generator`` maps each letter to its generator and
     ``generator_letters`` picks the first letter for each generator, so
     element indices can be translated back into readable words.
-
-    Nodes p and q with equal rows of ``delta`` are sent to the same node
-    by every letter, hence by every element (a letter followed by
-    something), so an element is stored as its map on one node per
-    distinct row: ``class_maps[x][c]`` is the image under x of the first
-    node whose row is the c-th distinct row, and ``node_class[p]`` is
-    the index of p's row.  ``transformations`` expands the full node
-    maps on demand.
     """
 
     semigroup: FiniteSemigroup
     label_to_generator: tuple[int, ...]
-    class_maps: tuple[Transformation, ...]
-    node_class: tuple[int, ...]
     generator_letters: tuple[int, ...]
-
-    @property
-    def transformations(self) -> tuple[Transformation, ...]:
-        """The node map of each element, in element order."""
-        return tuple(compose(self.node_class, m) for m in self.class_maps)
 
     def element_word(self, x: int) -> tuple[int, ...]:
         """One letter word whose action is element x."""
@@ -84,6 +69,21 @@ class TransitionSemigroup:
 
 def transition_semigroup(gr: TransitionGraph) -> TransitionSemigroup:
     """Close the letter transformations under composition.
+
+    The node maps live only while ``_closure`` runs, so they are freed
+    before the table's own closure starts: the result keeps only the
+    Cayley table and the letter names.
+    """
+    rows, label_to_gen, gen_letters = _closure(gr)
+    sg = FiniteSemigroup(rows)
+    # Composition of maps is associative, so Light's test is skipped.
+    sg._associativity = Verdict(ASSOCIATIVITY, YES)
+    return TransitionSemigroup(sg, tuple(label_to_gen), tuple(gen_letters))
+
+
+def _closure(gr: TransitionGraph):
+    """Cayley rows, letter-to-generator map and generator letters of the
+    closure of the letter maps.
 
     Froidure and Pin's enumeration (Algorithms for computing finite
     semigroups, 1997): elements are found in shortlex order of their
@@ -98,18 +98,18 @@ def transition_semigroup(gr: TransitionGraph) -> TransitionSemigroup:
     that length.
 
     Elements and generators are keyed by their maps on one node per
-    distinct row of ``delta`` (see ``TransitionSemigroup``): row-equal
-    nodes have the same image under every element, so two elements are
-    equal exactly when these restricted maps are.  A reduced edge
-    composes the restricted map of u with the full map of generator j.
+    distinct row of ``delta``: nodes p and q with equal rows are sent to
+    the same node by every letter, hence by every element (a letter
+    followed by something), so two elements are equal exactly when
+    these restricted maps are.  A reduced edge composes the restricted
+    map of u with the full map of generator j.
     """
     letters = letter_transformations(gr)
-    classes = {row: c for c, row in enumerate(dict.fromkeys(gr.delta))}
     gens: list[Transformation] = []
     gen_letters: list[int] = []
     label_to_gen: list[int] = []
     ids: dict[Transformation, int] = {}
-    for a, tr in enumerate(zip(*classes)):
+    for a, tr in enumerate(zip(*dict.fromkeys(gr.delta))):
         j = ids.get(tr)
         if j is None:
             j = len(gens)
@@ -157,12 +157,7 @@ def transition_semigroup(gr: TransitionGraph) -> TransitionSemigroup:
             left.append([rows[a][u] for a in range(g)] if p is None
                         else [rows[x][j] for x in left[p]])
         start, stop = stop, len(elements)
-    sg = FiniteSemigroup(rows)
-    # Composition of maps is associative, so Light's test is skipped.
-    sg._associativity = Verdict(ASSOCIATIVITY, YES)
-    return TransitionSemigroup(sg, tuple(label_to_gen), tuple(elements),
-                               tuple(map(classes.__getitem__, gr.delta)),
-                               tuple(gen_letters))
+    return rows, label_to_gen, gen_letters
 
 
 def is_1_testable(gr: TransitionGraph) -> Verdict:
@@ -208,7 +203,7 @@ def is_k_testable(gr: TransitionGraph, k: int, *, t: int = 1,
 
 def _k_testability(ts: TransitionSemigroup, k: int, t: int, budget: int) -> Verdict:
     columns = ts.label_to_generator
-    res = profile_determines(None, _cayley_fold(ts.semigroup, columns), len(columns),
+    res = profile_determines(*_cayley_fold(ts.semigroup, columns), len(columns),
                              k, t, budget)
     if res.status == "yes":
         return Verdict(K_TESTABILITY, YES, None,

@@ -189,16 +189,11 @@ class FiniteSemigroup:
         cached = self._rows.get(x)
         if cached is not None:
             return cached
-        cayley = self.cayley
-        row = [0] * self.element_count
-        base = cayley[x]
-        for y in self._order:
-            link = self._parent[y]
-            if link is None:
-                row[y] = base[y]
-            else:
-                p, j = link
-                row[y] = cayley[row[p]][j]
+        cayley, parent, g = self.cayley, self._parent, self.generator_count
+        row = list(cayley[x]) + [0] * (self.element_count - g)
+        for y in self._order[g:]:  # the generators 0..g-1 come first
+            p, j = parent[y]
+            row[y] = cayley[row[p]][j]
         row = self._rows[x] = tuple(row)
         return row
 

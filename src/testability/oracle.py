@@ -35,8 +35,9 @@ are.
 
 A fold here is any pair (initial value, step function) over hashable
 values.  The package folds both graph words and generator words over a
-semigroup's Cayley rows (``semigroups._cayley_fold``); the tests also
-use node maps composed letter by letter.
+letter table cut from a semigroup's Cayley rows, whose last row is an
+identity adjoined for the empty word (``semigroups._cayley_fold``); the
+tests also use node maps composed letter by letter.
 """
 
 from __future__ import annotations

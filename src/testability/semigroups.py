@@ -267,22 +267,25 @@ def check_generator_testability(s: FiniteSemigroup) -> Verdict:
 
 
 def _cayley_fold(s: FiniteSemigroup, columns):
-    """Fold a word into the element it evaluates to in ``s``.
+    """The fold (initial, step) of words into the elements of ``s``.
 
-    Letter a stands for generator ``columns[a]``, so a step is one
-    lookup in the Cayley rows.  The empty word folds to None, which no
-    other word's profile shares.  A semigroup passes ``range(g)``; a
-    graph passes the letter-to-generator map of its transition
-    semigroup, whose elements are in bijection with the node maps of
-    the words, so the verdicts are the ones node maps would give.
+    Letter a stands for generator ``columns[a]``: the step table keeps
+    column ``columns[a]`` of each Cayley row as entry a, and one last
+    row ``columns`` for the empty word, an identity adjoined as element
+    ``element_count``, so a step is two lookups.  The empty word's
+    profile is shared by no other word, so its value is never compared.
+    A semigroup passes ``range(g)``; a graph passes the
+    letter-to-generator map of its transition semigroup, whose elements
+    are in bijection with the node maps of the words, so the verdicts
+    are the ones node maps would give.
     """
-    cayley = s.cayley
+    table = [[row[j] for j in columns] for row in s.cayley]
+    table.append(list(columns))
 
     def step(value, a):
-        j = columns[a]
-        return j if value is None else cayley[value][j]
+        return table[value][a]
 
-    return step
+    return s.element_count, step
 
 
 def _order_search(s: FiniteSemigroup, columns, k_max: int, t: int,
@@ -294,10 +297,10 @@ def _order_search(s: FiniteSemigroup, columns, k_max: int, t: int,
     also proves every smaller k fails; ``largest_failing`` reports the
     failure bound established on the way.
     """
-    step = _cayley_fold(s, columns)
+    initial, step = _cayley_fold(s, columns)
     states = 0
     for k in range(1, k_max + 1):
-        res = profile_determines(None, step, len(columns), k, t, budget)
+        res = profile_determines(initial, step, len(columns), k, t, budget)
         states = res.states
         if res.status == "yes":
             return OrderResult("found", k, t, k_max, k - 1, states,

@@ -48,6 +48,7 @@ from testability import (
     write_graph,
     write_semigroup,
 )
+from testability import graphs
 from testability.cli import main
 from testability.semigroups import PROPERTY_CHECKS
 from tests import naive
@@ -424,12 +425,14 @@ def test_criterion_10_aperiodicity_and_pt_memory():
           f"peak at {peaks[0]:.1f} and {peaks[1]:.1f} MB < 4 MB")
 
 
-def test_criterion_11_closure_memory():
+def test_criterion_11_closure_memory(monkeypatch):
     # The 40,000-node product of criterion 8's 200-node graph with
-    # itself has only 1,296 distinct rows, and the closure stores each
-    # of its 840 elements on one node per row: a few MB instead of the
-    # 270 MB that 840 maps over all 40,000 nodes take.  The traced call
-    # closes the transition semigroup once and checks LT on it.
+    # itself has only 1,296 distinct rows, and the closure keys each of
+    # its 840 elements on one node per row: a few MB instead of the
+    # 270 MB that 840 maps over all 40,000 nodes take.  Once closed,
+    # only the Cayley table and the letter names stay alive.  The traced
+    # call closes the transition semigroup once and checks LT on it;
+    # the size its result keeps is read as the call returns.
     rng = random.Random("testability:capacity-graph-6-0")
     core = rng.sample(range(200), 6)
     gr = TransitionGraph(2, 200, tuple(tuple(rng.choice(core) for _ in range(2))
@@ -437,6 +440,15 @@ def test_criterion_11_closure_memory():
     t0 = time.perf_counter()
     big = graph_direct_product(gr, gr)
     assert big.node_count == 40_000
+    kept = []
+
+    def measured(graph):
+        before = tracemalloc.get_traced_memory()[0]
+        ts = transition_semigroup(graph)
+        kept.append(tracemalloc.get_traced_memory()[0] - before)
+        return ts
+
+    monkeypatch.setattr(graphs, "transition_semigroup", measured)
     tracemalloc.start()
     try:
         report = analyze_graph(big, [LOCAL_TESTABILITY])
@@ -448,10 +460,13 @@ def test_criterion_11_closure_memory():
     v = report.verdicts[0]
     assert (v.holds, v.witness) == (NO, (13, 29))
     assert v.detail == "e=13: 29*29 != 29; witness words: bbb, bbbb"
+    assert len(kept) == 1
+    assert kept[0] < 2e6, f"result keeps {kept[0] / 1e6:.1f} MB"
     assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
     assert elapsed < 5.0
     print(f"PASS criterion 11: 840 elements of a 40,000-node graph closed and "
-          f"checked for LT at {peak / 1e6:.1f} MB peak < 16 MB in {elapsed:.2f}s")
+          f"checked for LT at {peak / 1e6:.1f} MB peak < 16 MB in {elapsed:.2f}s; "
+          f"the closure keeps {kept[0] / 1e6:.2f} MB < 2 MB")
 
 
 def test_criterion_12_threshold_memory():
