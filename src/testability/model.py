@@ -146,7 +146,7 @@ class FiniteSemigroup:
     """
 
     __slots__ = ("element_count", "generator_count", "cayley", "factorization",
-                 "_order", "_parent", "_rows", "_associativity")
+                 "_steps", "_rows", "_associativity")
 
     def __init__(self, rows):
         rows = tuple(tuple(map(int, row)) for row in rows)
@@ -158,29 +158,23 @@ class FiniteSemigroup:
             raise ValueError(f"generator count {g} not in 1..{n}")
         _check_cells(rows, g, 0, "in row")
 
-        parent: list[tuple[int, int] | None] = [None] * n
-        fact: list[tuple[int, ...] | None] = [None] * n
+        fact: list[tuple[int, ...] | None] = [(j,) for j in range(g)] + [None] * (n - g)
         order = list(range(g))
-        for j in range(g):
-            fact[j] = (j,)
+        steps = []
         for x in order:  # order grows while walked: a breadth-first queue
-            row = rows[x]
-            for j in range(g):
-                y = row[j]
+            for j, y in enumerate(rows[x]):
                 if fact[y] is None:
                     fact[y] = fact[x] + (j,)
-                    parent[y] = (x, j)
+                    steps.append((y, x, j))
                     order.append(y)
-        for x in range(n):
-            if fact[x] is None:
-                raise NotGenerated(x)
+        if None in fact:
+            raise NotGenerated(fact.index(None))
 
         self.element_count = n
         self.generator_count = g
         self.cayley = rows
         self.factorization = tuple(fact)
-        self._order = tuple(order)
-        self._parent = tuple(parent)
+        self._steps = tuple(steps)
         self._rows: dict[int, tuple[int, ...]] = {}
         self._associativity = None  # Light's test verdict, set by check_associativity
 
@@ -189,10 +183,9 @@ class FiniteSemigroup:
         cached = self._rows.get(x)
         if cached is not None:
             return cached
-        cayley, parent, g = self.cayley, self._parent, self.generator_count
-        row = list(cayley[x]) + [0] * (self.element_count - g)
-        for y in self._order[g:]:  # the generators 0..g-1 come first
-            p, j = parent[y]
+        cayley = self.cayley
+        row = list(cayley[x]) + [0] * (self.element_count - self.generator_count)
+        for y, p, j in self._steps:
             row[y] = cayley[row[p]][j]
         row = self._rows[x] = tuple(row)
         return row

@@ -4,58 +4,58 @@ from __future__ import annotations
 
 
 def strongly_connected_components(succ) -> list[list[int]]:
-    """SCCs of a digraph given as adjacency lists.
+    """SCCs of a digraph given as a sequence of successor iterables.
 
     Iterative so that graphs with long chains do not hit the recursion
-    limit.  Each component is sorted; components are ordered by their
-    least member, which makes downstream witness choices deterministic.
+    limit: each vertex on the work stack carries an iterator over its
+    edges, and index 0 marks a vertex not yet visited.  Each component
+    is sorted; components are ordered by their least member, which
+    makes downstream witness choices deterministic.
     """
     n = len(succ)
     index = [0] * n
     low = [0] * n
     on_stack = [False] * n
-    visited = [False] * n
     stack: list[int] = []
-    counter = 1
+    counter = 0
     components: list[list[int]] = []
 
     for root in range(n):
-        if visited[root]:
+        if index[root]:
             continue
-        work = [(root, 0)]
+        counter += 1
+        index[root] = low[root] = counter
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
-            v, i = work.pop()
-            if i == 0:
-                visited[v] = True
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            else:
-                # returned from the child explored just before
-                low[v] = min(low[v], low[succ[v][i - 1]])
-            advanced = False
-            for j in range(i, len(succ[v])):
-                w = succ[v][j]
-                if not visited[w]:
-                    work.append((v, j + 1))
-                    work.append((w, 0))
-                    advanced = True
+            v, edges = work[-1]
+            for w in edges:
+                if not index[w]:
+                    counter += 1
+                    index[w] = low[w] = counter
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort()
-                components.append(comp)
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comp.sort()
+                    components.append(comp)
 
     components.sort(key=lambda c: c[0])
     return components

@@ -230,10 +230,9 @@ def j_classes(s: FiniteSemigroup) -> tuple[tuple[int, ...], ...]:
     j*e, are the generators 0..g-1 twice over: e*j = j = j*e for every
     generator j is enough, because the generators generate S.
     """
-    gens = list(range(s.generator_count))
-    gen_rows = [s.row(j) for j in gens]
-    succ = [list(s.cayley[x]) + [row[x] for row in gen_rows]
-            for x in range(s.element_count)]
+    gens = tuple(range(s.generator_count))
+    lefts = zip(*[s.row(j) for j in gens])
+    succ = [right + left for right, left in zip(s.cayley, lefts)]
     if gens + gens not in succ:
         succ.append(gens)
     comps = strongly_connected_components(succ)

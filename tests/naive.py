@@ -242,6 +242,27 @@ def two_sided_ideal(table, x):
     return frozenset(out)
 
 
+def components(succ):
+    """Vertices grouped by mutual reachability, from one breadth-first
+    search per vertex: each group ascending, the groups ordered by least
+    member."""
+    reach = []
+    for v in range(len(succ)):
+        seen = {v}
+        queue = [v]
+        for x in queue:
+            for w in succ[x]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        reach.append(seen)
+    groups = {}
+    for v, seen in enumerate(reach):
+        least = min(w for w in seen if v in reach[w])
+        groups.setdefault(least, []).append(v)
+    return list(groups.values())
+
+
 def check_piecewise(table):
     n = len(table)
     ideals = [two_sided_ideal(table, x) for x in range(n)]

@@ -97,6 +97,13 @@ def test_transition_semigroup_output(files, capsys):
         assert fh.read() == "5 2\n2 3\n4 2\n2 2\n0 2\n2 1\n"
 
 
+def test_product_graph_writes_the_frozen_table(files):
+    code = main(["product-graph", files["d_ab"], files["d_parity"], "-o", files["out"]])
+    assert code == 0
+    with open(files["out"]) as fh:
+        assert fh.read() == "1 6\n3\n2\n5\n4\n5\n4\n"
+
+
 def test_product_graph_completes_nothing(files, capsys):
     code = main(["product-graph", files["partial"], files["d_parity"],
                  "-o", files["out"]])
@@ -142,6 +149,7 @@ def test_usage_errors(files, capsys):
     assert main([]) == 64
     assert main(["analyze-graph", files["d_ab"], "--props", "fancy"]) == 64
     assert main(["analyze-graph", files["d_ab"], "--k", "0"]) == 64
+    assert main(["analyze-graph", files["d_ab"], "--k", "abc"]) == 64
     assert main(["product-graph", files["d_ab"], files["d_ab"]]) == 64
     capsys.readouterr()
 
@@ -175,3 +183,7 @@ def test_graph_k_and_t_flags(files, tmp_path, capsys):
     assert main(["analyze-graph", str(chain), "--props", "1t", "--k", "1",
                  "--t", "2"]) == 0
     assert "k_testability = yes" in capsys.readouterr().out
+    assert main(["analyze-graph", files["d_parity"], "--props", "1t", "--k", "2",
+                 "--budget", "2"]) == 0
+    assert ("k_testability = unknown (budget exceeded: 2 profile states at k=2, t=1)"
+            in capsys.readouterr().out)

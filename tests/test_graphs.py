@@ -192,6 +192,24 @@ def test_node_components():
     assert strongly_connected_components([[], [], []]) == [[0], [1], [2]]
 
 
+def test_components_agree_with_naive():
+    # self-loops and repeated edges included; tuples as j_classes passes them
+    rng = seeded("scc-cross-check")
+    for _ in range(2000):
+        n = rng.randint(1, 30)
+        succ = [tuple(rng.randrange(n) for _ in range(rng.randint(0, 3)))
+                for _ in range(n)]
+        assert strongly_connected_components(succ) == naive.components(succ)
+
+
+def test_components_of_long_chains():
+    n = 200_000
+    path = [[v + 1] for v in range(n - 1)] + [[]]
+    assert strongly_connected_components(path) == [[v] for v in range(n)]
+    cycle = [[(v + 1) % n] for v in range(n)]
+    assert strongly_connected_components(cycle) == [list(range(n))]
+
+
 def test_1_testable_examples():
     assert is_1_testable(FIX.D_triv).holds == "yes"
     v = is_1_testable(FIX.D_parity)
