@@ -139,8 +139,9 @@ class FiniteSemigroup:
 
     The full product table is derived from the rows on demand.  A row
     x*y for all y is filled in one pass over the discovery order, since
-    x*(z*g) = (x*z)*g, and cached as a tuple; ``product`` is the table
-    of those same tuples.
+    x*(z*g) = (x*z)*g, and cached as a tuple; when every element is a
+    generator there is nothing to fill and the row is ``cayley[x]``
+    itself.  ``product`` is the table of those same tuples.
     Instances are immutable apart from this cache and the stored
     verdict of Light's associativity test.
     """
@@ -184,10 +185,13 @@ class FiniteSemigroup:
         if cached is not None:
             return cached
         cayley = self.cayley
-        row = list(cayley[x]) + [0] * (self.element_count - self.generator_count)
-        for y, p, j in self._steps:
-            row[y] = cayley[row[p]][j]
-        row = self._rows[x] = tuple(row)
+        row = cayley[x]
+        if self._steps:
+            row = list(row) + [0] * len(self._steps)
+            for y, p, j in self._steps:
+                row[y] = cayley[row[p]][j]
+            row = tuple(row)
+        self._rows[x] = row
         return row
 
     def prod(self, x: int, y: int) -> int:

@@ -152,6 +152,18 @@ def lights_test(cayley):
     return None
 
 
+def submagma(cayley, kept):
+    """The set of elements generated by ``kept``: its closure under
+    every product of ``product_table``, in any bracketing."""
+    table = product_table(cayley)
+    elements = set(kept)
+    while True:
+        new = {table[x][y] for x in elements for y in elements} - elements
+        if not new:
+            return elements
+        elements |= new
+
+
 def check_local(table, prop):
     """(verdict, witness) for one of the five local properties."""
     assert prop in LOCAL_PROPS

@@ -31,6 +31,7 @@ from testability import (
     YES,
     analyze_graph,
     analyze_semigroup,
+    check_associativity,
     fixtures,
     graph_direct_product,
     graph_order_of_local_testability,
@@ -486,3 +487,42 @@ def test_criterion_12_threshold_memory():
     assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
     print(f"PASS criterion 12: LTT on 1,429 elements answers no at "
           f"{peak / 1e6:.1f} MB peak < 8 MB")
+
+
+def test_criterion_12_threshold_memory_catalan_9():
+    # The 9-node Catalan semigroup also fails at its first pair (0, 0),
+    # whose eSf has 1,430 elements.  The rows of p*w are built one q at
+    # a time and compared with those already built, so the scan stops
+    # at the first failing comparison instead of holding all 1,430 rows
+    # of 4,861 entries (about 56 MB).
+    catalan_9 = TransitionGraph(8, 9, tuple(tuple(p + 1 if p == i else p for i in range(8))
+                                            for p in range(9)))
+    s = transition_semigroup(catalan_9).semigroup
+    assert s.element_count == 4861
+    tracemalloc.start()
+    try:
+        v = is_threshold_locally_testable(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (v.holds, v.witness) == (NO, (0, 0, 0, 1, 2))
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+    print(f"PASS criterion 12: LTT on 4,861 elements answers no at "
+          f"{peak / 1e6:.1f} MB peak < 8 MB")
+
+
+def test_criterion_13_lights_test_on_all_generator_table():
+    # 1,280 elements, every one a generator: an 8x8 rectangular band
+    # times a 20-element chain.  Light's test runs over the generators
+    # kept greedily because the ones kept before them do not reach
+    # them (300 here, not 1,280), and the table is associative, so the
+    # scan over those columns runs to the end.
+    s = semigroup_direct_product(rectangular_band(8, 8), min_chain(20))
+    assert s.element_count == s.generator_count == 1280
+    t0 = time.perf_counter()
+    v = check_associativity(s)
+    elapsed = time.perf_counter() - t0
+    assert v.holds == YES
+    assert elapsed < 30.0
+    print(f"PASS criterion 13: Light's test on n = g = 1,280 answers yes in "
+          f"{elapsed:.1f}s < 30s")

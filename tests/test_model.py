@@ -58,6 +58,15 @@ def test_product_table_extends_cayley_columns():
                 assert table[x][y] == s.prod(x, y)
 
 
+def test_rows_of_an_all_generator_table_are_its_cayley_rows():
+    # g = n: every column is already a full row, so no copy is kept.
+    for s in [FIX.U1, FIX.LZ2] + semigroup_zoo()[4:]:
+        assert s.generator_count == s.element_count
+        for x in range(s.element_count):
+            assert s.row(x) is s.cayley[x]
+        assert [list(row) for row in s.product] == naive.product_table(s.cayley)
+
+
 def test_not_generated_names_the_orphan():
     with pytest.raises(NotGenerated) as exc:
         FiniteSemigroup(((0,), (1,)))

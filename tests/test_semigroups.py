@@ -1,5 +1,6 @@
 """Semigroup decision procedures, cross-checked against the naive loops."""
 
+import random
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -146,6 +147,61 @@ def test_lights_test_agrees_with_naive():
                     parse_semigroup(write_semigroup(m))
                 assert exc.value.triple == witness
     assert failures >= 50
+
+
+def test_lights_subset_route_agrees_with_full_scan():
+    """``_lights_test`` gives the same Verdict as the scan over every
+    generator, on the corpus, products of its members and copies with
+    one to three cells changed.  Whenever the kept generators reach
+    every element, they generate the whole table under all products,
+    as Light's theorem needs."""
+    rng = seeded("lights-subset")
+    tables = list(CORPUS)
+    while len(tables) < len(CORPUS) + 12:
+        a, b = rng.sample(CORPUS, 2)
+        if a.element_count * b.element_count <= 40:
+            tables.append(semigroup_direct_product(a, b))
+    cases = Counter()
+    for s in tables:
+        for _ in range(8):
+            m = s
+            for _ in range(rng.randint(0, 3)):
+                if m is not None:
+                    m = _mutated(m, rng)
+            if m is None:
+                continue
+            full = semigroups._lights_scan(m, range(m.generator_count))
+            assert semigroups._lights_test(m) == full
+            kept = semigroups._generating_subset(m)
+            if kept is None:
+                assert full.holds == "no"
+                cases["kept set does not reach"] += 1
+                continue
+            assert naive.submagma(m.cayley, kept) == set(range(m.element_count))
+            if semigroups._lights_scan(m, kept).holds == "no":
+                assert full.holds == "no"
+                cases["subset scan fails"] += 1
+            elif len(kept) < m.generator_count:
+                assert full.holds == "yes"
+                cases["fewer generators pass"] += 1
+    assert len(cases) == 3, cases
+
+
+def test_lights_test_on_criterion_8_table_scans_few_generators(monkeypatch):
+    """Parsing criterion 8's n=500 table scans at most 8 of its 86
+    generators, and the scan over all of them does not run."""
+    scans = []
+    scan = semigroups._lights_scan
+    monkeypatch.setattr(semigroups, "_lights_scan",
+                        lambda s, columns: scans.append(list(columns)) or scan(s, columns))
+    s1 = transition_semigroup(random_graph(random.Random(179), 4)).semigroup
+    s2 = transition_semigroup(random_graph(random.Random(154), 4)).semigroup
+    big = semigroup_direct_product(s1, s2)
+    assert (big.element_count, big.generator_count) == (500, 86)
+    parsed = parse_semigroup(write_semigroup(big))
+    assert check_associativity(parsed).holds == "yes"
+    assert len(scans) == 1
+    assert len(scans[0]) <= 8
 
 
 def test_idempotents():
