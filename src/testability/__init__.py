@@ -19,10 +19,9 @@ from .io_formats import (BadToken, CellOutOfRange, HeaderInconsistent,
 from .model import (NO, UNDEFINED, UNKNOWN, YES, BadK,
                     FiniteSemigroup, IncompleteInput, NotAssociative, NotGenerated,
                     NotIdempotent, OrderResult, PropertyReport, TransitionGraph,
-                    Transformation, Verdict, compose, fixtures, format_word,
-                    identity_map, letter_name)
-from .oracle import (DEFAULT_BUDGET, DEFAULT_K_MAX, KProfile, OracleResult,
-                     brute_force_scan, profile_of, profile_determines)
+                    Transformation, Verdict, compose, format_word, identity_map,
+                    letter_name)
+from .oracle import DEFAULT_BUDGET, DEFAULT_K_MAX, OracleResult, profile_determines
 from .products import graph_direct_product, graph_power, semigroup_direct_product
 from .scc import strongly_connected_components
 from .semigroups import (ALL_PROPERTIES, APERIODICITY, ASSOCIATIVITY,
@@ -41,7 +40,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_PROPERTIES", "APERIODICITY", "ASSOCIATIVITY", "BadK", "BadToken",
     "CellOutOfRange", "DEFAULT_BUDGET", "DEFAULT_K_MAX",
-    "FiniteSemigroup", "HeaderInconsistent", "IncompleteInput", "KProfile",
+    "FiniteSemigroup", "HeaderInconsistent", "IncompleteInput",
     "K_TESTABILITY", "LEFT_LOCAL_TESTABILITY", "LOCAL_IDEMPOTENCE",
     "LOCAL_PROPERTIES", "LOCAL_TESTABILITY", "NO", "NonpositiveHeader",
     "NotAssociative", "NotGenerated", "NotIdempotent", "ONE_TESTABILITY",
@@ -50,14 +49,14 @@ __all__ = [
     "STRICT_LOCAL_TESTABILITY", "THRESHOLD_LOCAL_TESTABILITY", "TooFewNumbers",
     "TransitionGraph", "TransitionSemigroup", "Transformation", "UNDEFINED",
     "UNKNOWN", "Verdict", "YES", "analyze_graph", "analyze_semigroup",
-    "brute_force_scan", "check_associativity", "check_generator_testability",
-    "check_local_property", "compose", "complete_with_sink", "fixtures",
+    "check_associativity", "check_generator_testability",
+    "check_local_property", "compose", "complete_with_sink",
     "format_word", "graph_direct_product", "graph_order_of_local_testability",
     "graph_power", "graph_property", "identity_map", "idempotents", "is_1_testable",
     "is_aperiodic", "is_k_testable", "is_piecewise_testable",
     "is_threshold_locally_testable", "j_classes", "letter_name",
     "letter_transformations", "local_submonoid", "parse_graph", "parse_semigroup",
-    "profile_determines", "profile_of", "render_report", "semigroup_direct_product",
+    "profile_determines", "render_report", "semigroup_direct_product",
     "semigroup_order_of_local_testability", "strongly_connected_components",
     "transition_semigroup", "write_graph", "write_semigroup",
 ]

@@ -8,7 +8,6 @@ factorizations and every witness follow it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import chain
 from operator import itemgetter
 
@@ -285,33 +284,3 @@ class PropertyReport:
                 return v
         return None
 
-
-@dataclass(frozen=True)
-class FixtureSet:
-    U1: FiniteSemigroup
-    LZ2: FiniteSemigroup
-    Z2: FiniteSemigroup
-    D_triv: TransitionGraph
-    D_parity: TransitionGraph
-    D_ab: TransitionGraph
-
-
-@cache
-def fixtures() -> FixtureSet:
-    """Small reference inputs used across the test suite.
-
-    U1: two-element semilattice {z, e}, both generators.
-    LZ2: two-element left-zero semigroup, both generators.
-    Z2: two-element cyclic group generated by s.
-    D_triv: one node, two labels, both looping.
-    D_parity: two nodes swapped by the single label.
-    D_ab: three nodes over labels a, b.
-    """
-    return FixtureSet(
-        U1=FiniteSemigroup(((0, 0), (0, 1))),
-        LZ2=FiniteSemigroup(((0, 0), (1, 1))),
-        Z2=FiniteSemigroup(((1,), (0,))),
-        D_triv=TransitionGraph(2, 1, ((0, 0),)),
-        D_parity=TransitionGraph(1, 2, ((1,), (0,))),
-        D_ab=TransitionGraph(2, 3, ((1, 2), (2, 0), (2, 2))),
-    )

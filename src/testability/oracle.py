@@ -7,14 +7,11 @@ Words shorter than k are kept whole.  A language property holds "with
 window k" exactly when the profile of a word determines the value that
 some deterministic letter-fold assigns to it; ``profile_determines``
 decides that by a breadth-first search over the profiles reachable
-letter by letter, each paired with the value its first word folds to,
-and ``brute_force_scan`` re-derives the same answer by sheer
-enumeration so the two routes can be played against each other.
+letter by letter, each paired with the value its first word folds to.
 
-``KProfile`` and ``profile_of`` spell a profile out in tuples and are
-its readable definition.  The search keys a profile by one integer
-instead.  Over A letters a word is read as a base-A number, and
-``span`` = A**(k-1) is the number of codes of k - 1 letters:
+The search keys a profile by one integer.  Over A letters a word is
+read as a base-A number, and ``span`` = A**(k-1) is the number of codes
+of k - 1 letters:
 
 - a word of k - 1 or more letters has the key
   ``(bag * span + prefix) * span + suffix``, where prefix and suffix
@@ -30,8 +27,8 @@ of the grown bag, so a step costs two dict lookups and a few integer
 operations, and a bag is rebuilt only on a memo miss.  Nothing is
 indexed by the A**k factor codes: a bag holds one pair per distinct
 factor of its word, so memory per state is bounded by the word, not
-by A**k.  Two keys are equal exactly when the two ``KProfile`` values
-are.
+by A**k.  Two keys are equal exactly when the two words have equal
+k-profiles.
 
 A fold here is any pair (initial value, step function) over hashable
 values.  The package folds both graph words and generator words over a
@@ -43,7 +40,6 @@ tests also use node maps composed letter by letter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 from .model import BadK
 
@@ -52,65 +48,13 @@ DEFAULT_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
-class KProfile:
-    """k-profile of a word: (prefix, suffix, saturated factor counts).
-
-    ``short`` holds the whole word when it is shorter than k; prefix,
-    suffix and counts are then derived from it.  ``counts`` is a sorted
-    tuple of (factor, count) pairs with counts capped at t, so equal
-    profiles compare and hash structurally.
-    """
-
-    k: int
-    t: int
-    prefix: tuple[int, ...]
-    suffix: tuple[int, ...]
-    counts: tuple[tuple[tuple[int, ...], int], ...]
-    short: tuple[int, ...] | None
-
-    def extend(self, letter: int) -> "KProfile":
-        """Profile of w + letter, given the profile of w."""
-        k, t = self.k, self.t
-        if self.short is not None:
-            w = self.short + (letter,)
-            if len(w) < k:
-                return KProfile(k, t, w, w, (), w)
-            return KProfile(k, t, w[:k - 1], w[1:], ((w, 1),), None)
-        factor = self.suffix + (letter,)
-        bag = dict(self.counts)
-        bag[factor] = min(bag.get(factor, 0) + 1, t)
-        return KProfile(k, t, self.prefix, factor[1:], tuple(sorted(bag.items())), None)
-
-
-def _check_window(k: int, t: int) -> None:
-    if k < 1:
-        raise BadK(f"window length {k} must be at least 1")
-    if t < 1:
-        raise BadK(f"threshold {t} must be at least 1")
-
-
-def profile_of(word, k: int, t: int = 1) -> KProfile:
-    _check_window(k, t)
-    word = tuple(word)
-    if len(word) < k:
-        return KProfile(k, t, word, word, (), word)
-    bag: dict[tuple[int, ...], int] = {}
-    for i in range(len(word) - k + 1):
-        factor = word[i:i + k]
-        bag[factor] = min(bag.get(factor, 0) + 1, t)
-    return KProfile(k, t, word[:k - 1], word[len(word) - k + 1:], tuple(sorted(bag.items())), None)
-
-
-@dataclass(frozen=True)
 class OracleResult:
     """Outcome of a profile search.
 
-    status "yes": every reachable profile forces a single action value
-    (for brute_force_scan: up to the scanned length).  status "no":
-    ``witness`` holds two words with equal profiles and different
-    values.  status "unknown": the state budget ran out.
-    ``states`` counts profile states for the breadth-first search and
-    examined words for the brute-force scan.
+    status "yes": every reachable profile forces a single action value.
+    status "no": ``witness`` holds two words with equal profiles and
+    different values.  status "unknown": the state budget ran out.
+    ``states`` counts profile states.
     """
 
     status: str
@@ -142,7 +86,12 @@ def profile_determines(initial, step, alphabet_size: int, k: int, t: int = 1,
     """
     if alphabet_size < 1:
         raise ValueError(f"alphabet size {alphabet_size} must be positive")
-    _check_window(k, t)
+    if k < 1:
+        raise BadK(f"window length {k} must be at least 1")
+    if t < 1:
+        raise BadK(f"threshold {t} must be at least 1")
+    if budget < 1:
+        raise ValueError(f"budget {budget} must be at least 1")
     letters = range(alphabet_size)
     span = alphabet_size ** (k - 1)
     factors = span * alphabet_size
@@ -219,26 +168,3 @@ def profile_determines(initial, step, alphabet_size: int, k: int, t: int = 1,
         pid += 1
     return OracleResult("yes", None, len(keys))
 
-
-def brute_force_scan(initial, step, alphabet_size: int, k: int, t: int = 1,
-                     max_len: int = DEFAULT_K_MAX) -> OracleResult:
-    """Enumerate every word up to max_len and group values by profile.
-
-    The slow cross-check for ``profile_determines``: same question, no
-    automaton, words visited in (length, lexicographic) order.  A "yes"
-    only says no conflict exists up to the scanned length.
-    """
-    seen: dict[KProfile, tuple[tuple[int, ...], object]] = {}
-    examined = 0
-    for length in range(max_len + 1):
-        for word in iter_product(range(alphabet_size), repeat=length):
-            examined += 1
-            value = initial
-            for letter in word:
-                value = step(value, letter)
-            prof = profile_of(word, k, t)
-            if prof not in seen:
-                seen[prof] = (word, value)
-            elif seen[prof][1] != value:
-                return OracleResult("no", (seen[prof][0], word), examined)
-    return OracleResult("yes", None, examined)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import replace
 from itertools import islice
 
-from .model import (NO, YES, FiniteSemigroup, NotIdempotent, OrderResult,
+from .model import (NO, YES, BadK, FiniteSemigroup, NotIdempotent, OrderResult,
                     PropertyReport, Verdict, compose)
 from .oracle import DEFAULT_BUDGET, DEFAULT_K_MAX, profile_determines
 from .scc import strongly_connected_components
@@ -357,6 +357,8 @@ def _order_search(s: FiniteSemigroup, columns, k_max: int, t: int,
     also proves every smaller k fails; ``largest_failing`` reports the
     failure bound established on the way.
     """
+    if k_max < 1:
+        raise BadK(f"largest window length {k_max} must be at least 1")
     initial, step = _cayley_fold(s, columns)
     states = 0
     for k in range(1, k_max + 1):

@@ -1,11 +1,44 @@
-"""Deterministic generators for test inputs: random graphs and a zoo of
-small semigroups with known structure."""
+"""Deterministic generators for test inputs: the six small fixtures,
+random graphs and a zoo of small semigroups with known structure."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from functools import cache
 
 from testability import FiniteSemigroup, TransitionGraph, transition_semigroup
+
+
+@dataclass(frozen=True)
+class FixtureSet:
+    U1: FiniteSemigroup
+    LZ2: FiniteSemigroup
+    Z2: FiniteSemigroup
+    D_triv: TransitionGraph
+    D_parity: TransitionGraph
+    D_ab: TransitionGraph
+
+
+@cache
+def fixtures() -> FixtureSet:
+    """Small reference inputs used across the test suite.
+
+    U1: two-element semilattice {z, e}, both generators.
+    LZ2: two-element left-zero semigroup, both generators.
+    Z2: two-element cyclic group generated by s.
+    D_triv: one node, two labels, both looping.
+    D_parity: two nodes swapped by the single label.
+    D_ab: three nodes over labels a, b.
+    """
+    return FixtureSet(
+        U1=FiniteSemigroup(((0, 0), (0, 1))),
+        LZ2=FiniteSemigroup(((0, 0), (1, 1))),
+        Z2=FiniteSemigroup(((1,), (0,))),
+        D_triv=TransitionGraph(2, 1, ((0, 0),)),
+        D_parity=TransitionGraph(1, 2, ((1,), (0,))),
+        D_ab=TransitionGraph(2, 3, ((1, 2), (2, 0), (2, 2))),
+    )
 
 
 def seeded(name: str) -> random.Random:

@@ -4,16 +4,19 @@ Nothing here calls the package's decision procedures.  Multiplication
 is re-derived from the Cayley rows by plain word folding, profiles are
 recomputed from scratch, and every property check is the literal
 quantifier loop; ``transition_closure`` composes the node maps of
-every (element, letter) pair, with no table lookups.  The one
-exception is ``profile_search``, the profile oracle's breadth-first
-search keyed by the package's readable ``KProfile`` values, which the
-integer-keyed search must match state for state.  Deliberately slow;
-meant for small inputs.
+every (element, letter) pair, with no table lookups.  ``profile`` is
+the one readable definition of a k-profile: ``profile_search`` is the
+profile oracle's breadth-first search with each state keyed by it,
+which the integer-keyed search must match state for state, and
+``brute_force_scan`` groups every short word by it.  Deliberately
+slow; meant for small inputs.
 """
 
 from __future__ import annotations
 
-from testability import NotGenerated, OracleResult, profile_of
+from itertools import product as iter_product
+
+from testability import NotGenerated, OracleResult
 
 LOCAL_PROPS = ("local_idempotence", "local_testability", "strict_local_testability",
                "right_local_testability", "left_local_testability")
@@ -339,44 +342,59 @@ def profile(word, k, t):
 
 
 def profile_search(initial, step, alphabet_size, k, t=1, budget=10**6):
-    """``profile_determines`` with every state a ``KProfile``.
+    """``profile_determines`` with every state keyed by ``profile`` of
+    the first word that reached it.
 
     Same breadth-first order (states numbered by discovery, letters
-    ascending), same budget rule and same parent-link witness, so the
+    ascending), same budget rule and same witness: each state keeps its
+    first word, the word the search's parent links spell.  So the
     ``OracleResult`` must be equal field for field.
     """
     if alphabet_size < 1:
         raise ValueError(f"alphabet size {alphabet_size} must be positive")
-    start = profile_of((), k, t)
-    profiles = [start]
-    ids = {start: 0}
+    words = [()]
+    ids = {profile((), k, t): 0}
     value_of = [initial]
-    parent = [None]
-
-    def word_of(pid):
-        out = []
-        while pid:
-            pid, letter = parent[pid]
-            out.append(letter)
-        return tuple(reversed(out))
 
     pid = 0
-    while pid < len(profiles):
-        prof = profiles[pid]
+    while pid < len(words):
+        word = words[pid]
         value = value_of[pid]
         for letter in range(alphabet_size):
-            target = prof.extend(letter)
+            target = profile(word + (letter,), k, t)
             reached = step(value, letter)
             nid = ids.get(target)
             if nid is None:
-                if len(profiles) >= budget:
-                    return OracleResult("unknown", None, len(profiles))
-                ids[target] = len(profiles)
-                profiles.append(target)
+                if len(words) >= budget:
+                    return OracleResult("unknown", None, len(words))
+                ids[target] = len(words)
+                words.append(word + (letter,))
                 value_of.append(reached)
-                parent.append((pid, letter))
             elif value_of[nid] != reached:
-                return OracleResult("no", (word_of(nid), word_of(pid) + (letter,)),
-                                    len(profiles))
+                return OracleResult("no", (words[nid], word + (letter,)), len(words))
         pid += 1
-    return OracleResult("yes", None, len(profiles))
+    return OracleResult("yes", None, len(words))
+
+
+def brute_force_scan(initial, step, alphabet_size, k, t=1, max_len=8):
+    """Enumerate every word up to max_len and group values by profile.
+
+    The slow cross-check for ``profile_determines``: same question, no
+    automaton, words visited in (length, lexicographic) order.  A "yes"
+    only says no conflict exists up to the scanned length.  ``states``
+    counts the examined words.
+    """
+    seen = {}
+    examined = 0
+    for length in range(max_len + 1):
+        for word in iter_product(range(alphabet_size), repeat=length):
+            examined += 1
+            value = initial
+            for letter in word:
+                value = step(value, letter)
+            prof = profile(word, k, t)
+            if prof not in seen:
+                seen[prof] = (word, value)
+            elif seen[prof][1] != value:
+                return OracleResult("no", (seen[prof][0], word), examined)
+    return OracleResult("yes", None, examined)

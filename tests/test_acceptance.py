@@ -32,7 +32,6 @@ from testability import (
     analyze_graph,
     analyze_semigroup,
     check_associativity,
-    fixtures,
     graph_direct_product,
     graph_order_of_local_testability,
     graph_property,
@@ -53,7 +52,7 @@ from testability import graphs
 from testability.cli import main
 from testability.semigroups import PROPERTY_CHECKS
 from tests import naive
-from tests.corpus import (cyclic_group, min_chain, random_dfas, random_graph,
+from tests.corpus import (cyclic_group, fixtures, min_chain, random_dfas, random_graph,
                           rectangular_band, seeded)
 
 FIX = fixtures()

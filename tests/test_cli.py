@@ -2,8 +2,9 @@
 
 import pytest
 
-from testability import fixtures, write_graph, write_semigroup
+from testability import write_graph, write_semigroup
 from testability.cli import main
+from tests.corpus import fixtures
 
 FIX = fixtures()
 

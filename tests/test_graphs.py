@@ -11,7 +11,6 @@ from testability import (
     TransitionGraph,
     analyze_graph,
     complete_with_sink,
-    fixtures,
     graph_order_of_local_testability as order_of,
     graph_property,
     is_1_testable,
@@ -24,7 +23,7 @@ from testability import graphs, semigroups
 from testability.semigroups import (ALL_PROPERTIES, ASSOCIATIVITY, LOCAL_TESTABILITY,
                                     ONE_TESTABILITY, PROPERTY_CHECKS)
 from tests import naive
-from tests.corpus import random_graph, random_partial_graph, seeded
+from tests.corpus import fixtures, random_graph, random_partial_graph, seeded
 
 FIX = fixtures()
 

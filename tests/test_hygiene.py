@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never
 uses, anything from the tests or the benchmark, or anything outside the
-standard library, and no function assigns a local it never reads; every
-name the benchmark's tracer wraps still exists."""
+standard library, and no function assigns a local it never reads; the
+public surface is exactly what ``__init__`` imports; every name the
+benchmark's tracer wraps still exists."""
 
 import ast
 import sys
@@ -95,6 +96,20 @@ def _dead_locals(path):
 def test_no_local_is_assigned_and_never_read():
     dead = [d for path in sorted(PACKAGE.glob("*.py")) for d in _dead_locals(path)]
     assert dead == []
+
+
+def test_all_lists_each_imported_name_once():
+    """``__all__`` names every binding that ``__init__`` imports, once,
+    and nothing else, so a name removed from the package cannot linger
+    in it."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names}
+    exported = testability.__all__
+    assert len(exported) == len(set(exported))
+    assert set(exported) == imported
+    exec("from testability import *", {})  # raises on a name __all__ lists but lacks
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():

@@ -15,7 +15,6 @@ from testability import (
     TransitionGraph,
     Verdict,
     check_associativity,
-    fixtures,
     graph_direct_product,
     parse_graph,
     parse_semigroup,
@@ -24,6 +23,7 @@ from testability import (
     write_semigroup,
 )
 from testability.model import PropertyReport
+from tests.corpus import fixtures
 
 FIX = fixtures()
 

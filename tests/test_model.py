@@ -11,14 +11,14 @@ from testability import (
     TransitionGraph,
     Verdict,
     compose,
-    fixtures,
     format_word,
     identity_map,
     letter_name,
 )
 from testability.model import OrderResult, PropertyReport
 from tests import naive
-from tests.corpus import random_graph, random_partial_graph, seeded, semigroup_zoo
+from tests.corpus import (fixtures, random_graph, random_partial_graph, seeded,
+                          semigroup_zoo)
 
 FIX = fixtures()
 

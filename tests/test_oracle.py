@@ -1,5 +1,5 @@
 """The window-profile oracle, cross-checked against brute enumeration
-and against the KProfile-keyed reference search."""
+and against the reference search keyed by ``naive.profile``."""
 
 import tracemalloc
 
@@ -9,18 +9,17 @@ from hypothesis import given, settings, strategies as st
 from testability import (
     BadK,
     TransitionGraph,
-    brute_force_scan,
     complete_with_sink,
-    fixtures,
     graph_order_of_local_testability,
     is_k_testable,
     profile_determines,
-    profile_of,
+    semigroup_order_of_local_testability,
 )
 from testability import graphs, semigroups
 from tests import naive
-from tests.corpus import (random_graph, random_partial_graph, seeded, semigroup_zoo,
-                          small_transformation_semigroups)
+from tests.corpus import (fixtures, random_graph, random_partial_graph, seeded,
+                          semigroup_zoo, small_transformation_semigroups)
+from tests.naive import brute_force_scan
 
 FIX = fixtures()
 
@@ -55,51 +54,17 @@ ALPHABETS = {"U1": 2, "LZ2": 2, "Z2": 1, "D_triv": 2, "D_parity": 1, "D_ab": 2}
 
 
 def test_profile_fields():
-    p = profile_of((0, 1), 2, 1)
-    assert p.prefix == (0,)
-    assert p.suffix == (1,)
-    assert p.counts == (((0, 1), 1),)
-    assert p.short is None
+    assert naive.profile((0, 1), 2, 1) == ((0,), (1,), frozenset({((0, 1), 1)}))
 
 
 def test_profiles_saturate_at_threshold():
-    assert profile_of((0, 1, 0), 2, 1) == profile_of((0, 1, 0, 1, 0), 2, 1)
-    assert profile_of((0, 1, 0), 2, 2) != profile_of((0, 1, 0, 1, 0), 2, 2)
+    assert naive.profile((0, 1, 0), 2, 1) == naive.profile((0, 1, 0, 1, 0), 2, 1)
+    assert naive.profile((0, 1, 0), 2, 2) != naive.profile((0, 1, 0, 1, 0), 2, 2)
 
 
 def test_short_words_are_kept_whole():
-    p = profile_of((0,), 2, 1)
-    assert p.short == (0,)
-    assert p.prefix == (0,) and p.suffix == (0,)
-    assert p.counts == ()
-    assert profile_of((), 3, 1).short == ()
-
-
-def test_bad_window_parameters():
-    with pytest.raises(BadK):
-        profile_of((0,), 0)
-    with pytest.raises(BadK):
-        profile_of((0,), 2, 0)
-
-
-@given(st.lists(st.integers(0, 1), max_size=10),
-       st.integers(1, 3), st.integers(1, 2))
-def test_extend_matches_profile_of(word, k, t):
-    prof = profile_of((), k, t)
-    for letter in word:
-        prof = prof.extend(letter)
-    assert prof == profile_of(word, k, t)
-
-
-@given(st.lists(st.integers(0, 1), max_size=10),
-       st.integers(1, 3), st.integers(1, 2))
-def test_profile_matches_naive(word, k, t):
-    prof = profile_of(tuple(word), k, t)
-    ref = naive.profile(tuple(word), k, t)
-    if prof.short is not None:
-        assert ref == ("short", tuple(word))
-    else:
-        assert ref == (prof.prefix, prof.suffix, frozenset(prof.counts))
+    assert naive.profile((0,), 2, 1) == ("short", (0,))
+    assert naive.profile((), 3, 1) == ("short", ())
 
 
 def test_search_interns_profiles():
@@ -117,6 +82,24 @@ def test_budget_of_one_state_stops_at_the_empty_word():
     initial, step = graph_action(FIX.D_ab)
     res = profile_determines(initial, step, 2, 3, budget=1)
     assert (res.status, res.witness, res.states) == ("unknown", None, 1)
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_search_rejects_a_budget_below_one(budget):
+    initial, step = graph_action(FIX.D_ab)
+    with pytest.raises(ValueError) as err:
+        profile_determines(initial, step, 2, 3, budget=budget)
+    assert not isinstance(err.value, BadK)
+
+
+@pytest.mark.parametrize("k_max", [0, -3])
+def test_order_search_rejects_a_largest_window_below_one(k_max):
+    with pytest.raises(BadK):
+        graph_order_of_local_testability(FIX.D_ab, k_max)
+    with pytest.raises(BadK):
+        graph_order_of_local_testability(FIX.D_ab, k_max, t=0)
+    with pytest.raises(BadK):
+        semigroup_order_of_local_testability(FIX.U1, k_max)
 
 
 def test_search_rejects_an_empty_alphabet():
@@ -309,8 +292,9 @@ def _reference_corpus():
 
 
 def test_search_equals_the_kprofile_reference():
-    """The integer-keyed search must reproduce the KProfile-keyed one
-    state for state: same status, witness and state count."""
+    """The integer-keyed search must reproduce the reference search,
+    whose states are keyed by ``naive.profile``, state for state: same
+    status, witness and state count."""
     seen = {"k": set(), "t": set(), "budget": set(), "status": set()}
     for (initial, step), a, k, t, budget in _reference_corpus():
         res = profile_determines(initial, step, a, k, t, budget)
@@ -322,9 +306,9 @@ def test_search_equals_the_kprofile_reference():
 
 
 # Peak traced memory of the search below, 2-core host, Python 3.11:
-# 10.8 MB with KProfile states, 8.2 MB with interned count bags, 26.8 MB
-# with interned bags held as dense bitmasks over the 26**3 factors.  The
-# bound is the KProfile figure plus 25%.
+# 10.8 MB with tuple-valued profile states, 8.2 MB with interned count
+# bags, 26.8 MB with interned bags held as dense bitmasks over the 26**3
+# factors.  The bound is the tuple-valued figure plus 25%.
 MEMORY_BOUND_MB = 13.5
 
 

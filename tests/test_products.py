@@ -9,7 +9,6 @@ from testability import (
     TransitionGraph,
     analyze_semigroup,
     check_associativity,
-    fixtures,
     graph_direct_product,
     graph_power,
     parse_graph,
@@ -23,6 +22,7 @@ from testability import semigroups
 from tests import naive
 from tests.corpus import (
     cyclic_group,
+    fixtures,
     min_chain,
     rectangular_band,
     semigroup_zoo,

@@ -20,7 +20,6 @@ from testability import (
     check_associativity,
     check_generator_testability,
     check_local_property,
-    fixtures,
     idempotents,
     is_aperiodic,
     is_piecewise_testable,
@@ -34,7 +33,7 @@ from testability import (
     write_semigroup,
 )
 from testability import semigroups
-from testability.oracle import brute_force_scan, profile_determines
+from testability.oracle import profile_determines
 from testability.semigroups import (
     LEFT_LOCAL_TESTABILITY,
     LOCAL_IDEMPOTENCE,
@@ -51,6 +50,7 @@ from tests.corpus import (
     LTT_IDENTITY_FAILURE_GRAPHS,
     SANDWICH_PAIR_GRAPH,
     cyclic_group,
+    fixtures,
     left_zero,
     ltt_identity_failures,
     min_chain,
@@ -61,6 +61,7 @@ from tests.corpus import (
     semigroup_zoo,
     small_transformation_semigroups,
 )
+from tests.naive import brute_force_scan
 
 FIX = fixtures()
 
