@@ -11,24 +11,27 @@ letter by letter, each paired with the value its first word folds to.
 
 The search keys a profile by one integer.  Over A letters a word is
 read as a base-A number, and ``span`` = A**(k-1) is the number of codes
-of k - 1 letters:
+of k - 1 letters.  Every word has the key
+``(bag * span + prefix) * span + suffix``:
 
-- a word of k - 1 or more letters has the key
-  ``(bag * span + prefix) * span + suffix``, where prefix and suffix
-  are the codes of its first and last k - 1 letters and bag is the
-  interned id of its saturated factor counts (a sorted tuple of
-  (factor code, count) pairs, counts capped at t).  Bag 0 is the empty
-  bag, which only the words of exactly k - 1 letters have;
-- a shorter word has the negative key ``~(length * span + code)``.
+- a word of L <= k - 1 letters has no k-factor.  Its bag is L, its
+  suffix the code of the whole word and its prefix the code of the
+  word without its last letter (never read).  The empty word is key 0;
+- a longer word has the codes of its first and last k - 1 letters as
+  prefix and suffix, and the interned id of its saturated factor
+  counts (a sorted tuple of (factor code, count) pairs, counts capped
+  at t) as bag.  Interned bags get ids from k on; id k - 1 is the
+  empty bag, shared with the (k - 1)-letter words.
 
-Appending a letter to a word of k - 1 or more letters adds the factor
-``suffix * A + letter``.  A memo maps (bag id, factor code) to the id
-of the grown bag, so a step costs two dict lookups and a few integer
+Appending a letter adds the factor ``suffix * A + letter``: it counts
+one more letter while the bag is below k - 1 and goes into the counts
+from then on.  A memo maps (bag id, factor code) to the id of the
+grown bag, so a step costs two dict lookups and a few integer
 operations, and a bag is rebuilt only on a memo miss.  Nothing is
-indexed by the A**k factor codes: a bag holds one pair per distinct
-factor of its word, so memory per state is bounded by the word, not
-by A**k.  Two keys are equal exactly when the two words have equal
-k-profiles.
+indexed by the A**k factor codes or by k: a bag holds one pair per
+distinct factor of its word, so memory per state is bounded by the
+word, not by A**k.  Two keys are equal exactly when the two words have
+equal k-profiles.
 
 A fold here is any pair (initial value, step function) over hashable
 values.  The package folds both graph words and generator words over a
@@ -76,13 +79,10 @@ def profile_determines(initial, step, alphabet_size: int, k: int, t: int = 1,
     before the search settles gives "unknown".
 
     Each state is the integer key of its profile (layout in the module
-    docstring): prefix code, suffix code and the id of its interned
-    count bag, or length and code for a word shorter than k - 1
-    letters.  A word shorter than k is a profile of its own and a word
-    of k - 1 letters has the empty bag, which no longer word has, so
-    only keys with a nonempty bag go into the lookup table.  The bag
-    memo is keyed by ``bag * A**k + factor``; ``grow`` builds a bag
-    only when the memo misses.
+    docstring): prefix code, suffix code and a bag id, which counts the
+    letters of a word too short to hold a k-factor.  The bag memo is
+    keyed by ``bag * A**k + factor``; ``grow`` builds a bag only when
+    the memo misses.
     """
     if alphabet_size < 1:
         raise ValueError(f"alphabet size {alphabet_size} must be positive")
@@ -96,25 +96,29 @@ def profile_determines(initial, step, alphabet_size: int, k: int, t: int = 1,
     span = alphabet_size ** (k - 1)
     factors = span * alphabet_size
     bag_span = span * span
-    bags: list[tuple[tuple[int, int], ...]] = [()]
-    bag_ids = {(): 0}
+    first = k - 1    # the empty bag's id; lower ids count letters
+    bags: list[tuple[tuple[int, int], ...]] = [()]    # the bag with id first + i
+    bag_ids = {(): first}
     grown: dict[int, int] = {}
 
     def grow(bag: int, factor: int) -> int:
-        counts = dict(bags[bag])
-        count = counts.get(factor, 0)
-        result = bag
-        if count < t:
-            counts[factor] = count + 1
-            frozen = tuple(sorted(counts.items()))
-            result = bag_ids.setdefault(frozen, len(bags))
-            if result == len(bags):
-                bags.append(frozen)
+        if bag < first:
+            result = bag + 1
+        else:
+            counts = dict(bags[bag - first])
+            count = counts.get(factor, 0)
+            result = bag
+            if count < t:
+                counts[factor] = count + 1
+                frozen = tuple(sorted(counts.items()))
+                result = bag_ids.setdefault(frozen, first + len(bags))
+                if result == first + len(bags):
+                    bags.append(frozen)
         grown[bag * factors + factor] = result
         return result
 
-    keys = [~0 if k > 1 else 0]
-    ids: dict[int, int] = {}
+    keys = [0]
+    ids = {0: 0}
     value_of = [initial]
     parent = [0]    # pid * alphabet_size + letter of the step that found a state
 
@@ -127,26 +131,12 @@ def profile_determines(initial, step, alphabet_size: int, k: int, t: int = 1,
 
     pid = 0
     while pid < len(keys):
-        key = keys[pid]
-        value = value_of[pid]
-        if key < 0:
-            length, code = divmod(~key, span)
-            for letter in letters:
-                if len(keys) >= budget:
-                    return OracleResult("unknown", None, len(keys))
-                code_after = code * alphabet_size + letter
-                # k - 1 letters: the empty bag, prefix and suffix both the word
-                keys.append(~((length + 1) * span + code_after) if length + 2 < k
-                            else code_after * (span + 1))
-                value_of.append(step(value, letter))
-                parent.append(pid * alphabet_size + letter)
-            pid += 1
-            continue
-        rest, suffix = divmod(key, span)
+        rest, suffix = divmod(keys[pid], span)
         bag, prefix = divmod(rest, span)
+        value = value_of[pid]
         memo_base = bag * factors
         shifted = suffix * alphabet_size
-        head = prefix * span
+        head = (suffix if bag < k else prefix) * span    # no k-factor: the word is its prefix
         for letter in letters:
             factor = shifted + letter
             bag_after = grown.get(memo_base + factor)
@@ -167,4 +157,3 @@ def profile_determines(initial, step, alphabet_size: int, k: int, t: int = 1,
                                     len(keys))
         pid += 1
     return OracleResult("yes", None, len(keys))
-

@@ -273,10 +273,29 @@ def test_cayley_fold_matches_node_maps(monkeypatch):
 
 REFERENCE_BUDGETS = (1, 3, 50, 3000)
 
+# Alphabets and windows past the seeded draws.  Budgets around the
+# number of words too short to hold a k-factor stop the search just
+# before, at and just after its first k-letter word; budget 3000 runs
+# each to a "no".
+WIDE_CASES = ((2, 6), (5, 2), (26, 2))
+
+
+def _around_short_words(a, k):
+    short = sum(a ** length for length in range(k))
+    return short - 1, short, short + 1
+
+
+def _first_letter_parity(a):
+    """The 2-node graph whose first letter swaps the nodes and whose
+    other letters fix them: it counts the first letter mod 2."""
+    return graph_action(TransitionGraph(a, 2, ((1,) + (0,) * (a - 1),
+                                               (0,) + (1,) * (a - 1))))
+
 
 def _reference_corpus():
     """The six fixtures, seeded graphs (some partial) and seeded
-    semigroups, each with eight (k, t, budget) draws."""
+    semigroups, each with eight (k, t, budget) draws, then the
+    ``WIDE_CASES``."""
     rng = seeded("reference-search")
     actions = [(ACTIONS[name](), ALPHABETS[name]) for name in sorted(ACTIONS)]
     for _ in range(24):
@@ -289,6 +308,9 @@ def _reference_corpus():
         for _ in range(8):
             k, t = rng.randrange(1, 5), rng.randrange(1, 4)
             yield action, a, k, t, rng.choice(REFERENCE_BUDGETS)
+    for a, k in WIDE_CASES:
+        for budget in _around_short_words(a, k) + (3000,):
+            yield _first_letter_parity(a), a, k, 1, budget
 
 
 def test_search_equals_the_kprofile_reference():
@@ -301,7 +323,9 @@ def test_search_equals_the_kprofile_reference():
         assert res == naive.profile_search(initial, step, a, k, t, budget), (k, t, budget)
         for field, value in zip(seen, (k, t, budget, res.status)):
             seen[field].add(value)
-    assert seen == {"k": {1, 2, 3, 4}, "t": {1, 2, 3}, "budget": set(REFERENCE_BUDGETS),
+    wide_budgets = {b for a, k in WIDE_CASES for b in _around_short_words(a, k)}
+    assert seen == {"k": {1, 2, 3, 4, 6}, "t": {1, 2, 3},
+                    "budget": set(REFERENCE_BUDGETS) | wide_budgets,
                     "status": {"yes", "no", "unknown"}}
 
 
