@@ -10,9 +10,7 @@ graphs and semigroups and the graph-to-semigroup construction.
 """
 
 from .graphs import (K_TESTABILITY, TransitionSemigroup, analyze_graph,
-                     complete_with_sink, graph_property, is_1_testable,
-                     is_k_testable, letter_transformations, transition_semigroup)
-from .graphs import order_of_local_testability as graph_order_of_local_testability
+                     complete_with_sink, letter_transformations, transition_semigroup)
 from .io_formats import (BadToken, CellOutOfRange, HeaderInconsistent,
                          NonpositiveHeader, ParseError, TooFewNumbers, parse_graph,
                          parse_semigroup, render_report, write_graph, write_semigroup)
@@ -22,7 +20,7 @@ from .model import (NO, UNDEFINED, UNKNOWN, YES, BadK,
                     Transformation, Verdict, compose, format_word, identity_map,
                     letter_name)
 from .oracle import DEFAULT_BUDGET, DEFAULT_K_MAX, OracleResult, profile_determines
-from .products import graph_direct_product, graph_power, semigroup_direct_product
+from .products import graph_direct_product, semigroup_direct_product
 from .scc import strongly_connected_components
 from .semigroups import (ALL_PROPERTIES, APERIODICITY, ASSOCIATIVITY,
                          LEFT_LOCAL_TESTABILITY, LOCAL_IDEMPOTENCE, LOCAL_PROPERTIES,
@@ -33,7 +31,6 @@ from .semigroups import (ALL_PROPERTIES, APERIODICITY, ASSOCIATIVITY,
                          check_local_property, idempotents, is_aperiodic,
                          is_piecewise_testable, is_threshold_locally_testable,
                          j_classes, local_submonoid)
-from .semigroups import order_of_local_testability as semigroup_order_of_local_testability
 
 __version__ = "0.1.0"
 
@@ -51,12 +48,10 @@ __all__ = [
     "UNKNOWN", "Verdict", "YES", "analyze_graph", "analyze_semigroup",
     "check_associativity", "check_generator_testability",
     "check_local_property", "compose", "complete_with_sink",
-    "format_word", "graph_direct_product", "graph_order_of_local_testability",
-    "graph_power", "graph_property", "identity_map", "idempotents", "is_1_testable",
-    "is_aperiodic", "is_k_testable", "is_piecewise_testable",
-    "is_threshold_locally_testable", "j_classes", "letter_name",
-    "letter_transformations", "local_submonoid", "parse_graph", "parse_semigroup",
-    "profile_determines", "render_report", "semigroup_direct_product",
-    "semigroup_order_of_local_testability", "strongly_connected_components",
+    "format_word", "graph_direct_product", "identity_map", "idempotents",
+    "is_aperiodic", "is_piecewise_testable", "is_threshold_locally_testable",
+    "j_classes", "letter_name", "letter_transformations", "local_submonoid",
+    "parse_graph", "parse_semigroup", "profile_determines", "render_report",
+    "semigroup_direct_product", "strongly_connected_components",
     "transition_semigroup", "write_graph", "write_semigroup",
 ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .model import (NO, UNKNOWN, YES, FiniteSemigroup, IncompleteInput, OrderResult,
+from .model import (NO, UNKNOWN, YES, FiniteSemigroup, IncompleteInput,
                     PropertyReport, TransitionGraph, Transformation, UNDEFINED,
                     Verdict, compose, format_word, letter_name)
 from .oracle import DEFAULT_BUDGET, DEFAULT_K_MAX, profile_determines
@@ -160,18 +160,10 @@ def _closure(gr: TransitionGraph):
     return rows, label_to_gen, gen_letters
 
 
-def is_1_testable(gr: TransitionGraph) -> Verdict:
-    """Letters must be idempotent and pairwise commuting node maps.
-
-    Then a word's action depends only on its letter set.  Witnesses are
-    (letter, node) for idempotence and (letter, letter, node) for
-    commutation, least first.  A partial graph is completed with a sink
-    first; the transition semigroup is not built.
-    """
-    return analyze_graph(gr, (ONE_TESTABILITY,)).verdicts[0]
-
-
 def _one_testability(gr: TransitionGraph) -> Verdict:
+    """Letters must be idempotent and pairwise commuting node maps, so a
+    word's action depends only on its letter set.  Witnesses are
+    (letter, node) and (letter, letter, node), least first."""
     letters = letter_transformations(gr)
     for u, tu in enumerate(letters):
         for p in range(gr.node_count):
@@ -187,18 +179,6 @@ def _one_testability(gr: TransitionGraph) -> Verdict:
                                    f"letters {letter_name(u)} and {letter_name(v)} "
                                    f"do not commute at node {p}")
     return Verdict(ONE_TESTABILITY, YES)
-
-
-def is_k_testable(gr: TransitionGraph, k: int, *, t: int = 1,
-                  budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Does the k-profile of a word (threshold t) pin down its action?
-
-    Decided by the profile oracle; a "no" carries two words with equal
-    profiles and different node maps, an "unknown" means the profile
-    state budget ran out before the search settled.  A partial graph is
-    completed with a sink first.
-    """
-    return analyze_graph(gr, (), k=k, t=t, budget=budget).verdicts[0]
 
 
 def _k_testability(ts: TransitionSemigroup, k: int, t: int, budget: int) -> Verdict:
@@ -217,25 +197,12 @@ def _k_testability(ts: TransitionSemigroup, k: int, t: int, budget: int) -> Verd
                    f"budget exceeded: {res.states} profile states at k={k}, t={t}")
 
 
-def order_of_local_testability(gr: TransitionGraph, k_max: int = DEFAULT_K_MAX, *,
-                               t: int = 1, budget: int = DEFAULT_BUDGET) -> OrderResult:
-    """Least window length k <= k_max whose profiles determine the action;
-    a partial graph is completed with a sink first."""
-    return analyze_graph(gr, (), order=True, k_max=k_max, t=t, budget=budget).order
-
-
 def _with_witness_words(v: Verdict, ts: TransitionSemigroup) -> Verdict:
     if v.witness is None:
         return v
     words = ", ".join(format_word(ts.element_word(x)) for x in v.witness)
     note = f"witness words: {words}"
     return replace(v, detail=f"{v.detail}; {note}" if v.detail else note)
-
-
-def graph_property(gr: TransitionGraph, prop: str) -> Verdict:
-    """One property verdict; algebraic properties go through the
-    transition semigroup, with witnesses translated back into words."""
-    return analyze_graph(gr, (prop,)).verdicts[0]
 
 
 def analyze_graph(gr: TransitionGraph, properties=None, *, order: bool = False,

@@ -27,10 +27,11 @@ Appending a letter adds the factor ``suffix * A + letter``: it counts
 one more letter while the bag is below k - 1 and goes into the counts
 from then on.  A memo maps (bag id, factor code) to the id of the
 grown bag, so a step costs two dict lookups and a few integer
-operations, and a bag is rebuilt only on a memo miss.  Nothing is
-indexed by the A**k factor codes or by k: a bag holds one pair per
-distinct factor of its word, so memory per state is bounded by the
-word, not by A**k.  Two keys are equal exactly when the two words have
+operations, and a bag is rebuilt only on a memo miss.  Ids below k - 1
+are not memoized: each of their pairs is reached by one word only.
+Nothing is indexed by the A**k factor codes or by k: a bag holds one
+pair per distinct factor of its word, so memory per state is bounded
+by the word, not by A**k.  Two keys are equal exactly when the two words have
 equal k-profiles.
 
 A fold here is any pair (initial value, step function) over hashable
@@ -103,17 +104,16 @@ def profile_determines(initial, step, alphabet_size: int, k: int, t: int = 1,
 
     def grow(bag: int, factor: int) -> int:
         if bag < first:
-            result = bag + 1
-        else:
-            counts = dict(bags[bag - first])
-            count = counts.get(factor, 0)
-            result = bag
-            if count < t:
-                counts[factor] = count + 1
-                frozen = tuple(sorted(counts.items()))
-                result = bag_ids.setdefault(frozen, first + len(bags))
-                if result == first + len(bags):
-                    bags.append(frozen)
+            return bag + 1
+        counts = dict(bags[bag - first])
+        count = counts.get(factor, 0)
+        result = bag
+        if count < t:
+            counts[factor] = count + 1
+            frozen = tuple(sorted(counts.items()))
+            result = bag_ids.setdefault(frozen, first + len(bags))
+            if result == first + len(bags):
+                bags.append(frozen)
         grown[bag * factors + factor] = result
         return result
 

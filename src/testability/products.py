@@ -1,4 +1,4 @@
-"""Direct products of semigroups and of graphs, and graph powers."""
+"""Direct products of semigroups and of graphs."""
 
 from __future__ import annotations
 
@@ -59,13 +59,3 @@ def graph_direct_product(gr1: TransitionGraph, gr2: TransitionGraph) -> Transiti
     scaled = [tuple(c * g2 for c in row1[:a]) for row1 in gr1.delta]
     return TransitionGraph(a, gr1.node_count * g2,
                            (map(add, s, row2) for s in scaled for row2 in gr2.delta))
-
-
-def graph_power(gr: TransitionGraph, m: int) -> TransitionGraph:
-    """The direct product of m copies of the graph."""
-    if m < 1:
-        raise ValueError(f"power {m} must be at least 1")
-    out = gr
-    for _ in range(m - 1):
-        out = graph_direct_product(out, gr)
-    return out

@@ -374,14 +374,6 @@ def _order_search(s: FiniteSemigroup, columns, k_max: int, t: int,
                        f"every k up to {k_max} fails")
 
 
-def order_of_local_testability(s: FiniteSemigroup, k_max: int = DEFAULT_K_MAX,
-                               budget: int = DEFAULT_BUDGET) -> OrderResult:
-    """Least k <= k_max whose k-profile determines the value of every
-    generator word, found by running the profile oracle on the fold
-    start -> generator -> x*generator."""
-    return _order_search(s, range(s.generator_count), k_max, 1, budget)
-
-
 def _local_check(prop):
     return lambda s: check_local_property(s, prop)
 
@@ -436,7 +428,7 @@ def analyze_semigroup(s: FiniteSemigroup, properties=None, *, order: bool = Fals
     order_result = None
     stats = {"elements": s.element_count, "generators": s.generator_count}
     if order:
-        order_result = order_of_local_testability(s, k_max, budget)
+        order_result = _order_search(s, range(s.generator_count), k_max, 1, budget)
         stats["oracle_states"] = order_result.states
     descriptor: dict = {"kind": "semigroup"}
     if source:

@@ -33,17 +33,13 @@ from testability import (
     analyze_semigroup,
     check_associativity,
     graph_direct_product,
-    graph_order_of_local_testability,
-    graph_property,
     is_aperiodic,
-    is_k_testable,
     is_piecewise_testable,
     is_threshold_locally_testable,
     parse_graph,
     parse_semigroup,
     profile_determines,
     semigroup_direct_product,
-    semigroup_order_of_local_testability,
     transition_semigroup,
     write_graph,
     write_semigroup,
@@ -146,7 +142,7 @@ def test_criterion_1_fixture_matrix():
         for prop, want in cells.items():
             assert PROPERTY_CHECKS[prop](s).holds == want, (s, prop)
             assert naive_holds(table, s.generator_count, prop) == want, (s, prop)
-        res = semigroup_order_of_local_testability(s)
+        res = analyze_semigroup(s, (), order=True).order
         assert (res.status, res.k) == (status, k)
         if status == "none":
             assert res.k_max == 8
@@ -171,12 +167,12 @@ def test_criterion_1_fixture_matrix():
         sg = transition_semigroup(gr).semigroup
         table = naive.product_table(sg.cayley)
         for prop, want in cells.items():
-            assert graph_property(gr, prop).holds == want, (gr, prop)
+            assert analyze_graph(gr, [prop]).verdict(prop).holds == want, (gr, prop)
             if prop == ONE_TESTABILITY:
                 assert naive_graph_one_testable(gr) == want
             else:
                 assert naive_holds(table, sg.generator_count, prop) == want, (gr, prop)
-        res = graph_order_of_local_testability(gr)
+        res = analyze_graph(gr, (), order=True).order
         assert (res.status, res.k) == (status, k)
         if status == "none":
             assert res.k_max == 8
@@ -232,8 +228,8 @@ def test_criterion_3_testability_gate():
     dfas = random_dfas(50, "acceptance-dfas")
     testable = 0
     for i, gr in enumerate(dfas):
-        lt = graph_property(gr, LOCAL_TESTABILITY).holds
-        res = graph_order_of_local_testability(gr, 8, budget=60_000)
+        lt = analyze_graph(gr, [LOCAL_TESTABILITY]).verdict(LOCAL_TESTABILITY).holds
+        res = analyze_graph(gr, (), order=True, k_max=8, budget=60_000).order
         found = res.status == "found"
         assert (lt == YES) == found, (i, lt, res)
         testable += found
@@ -250,7 +246,7 @@ def test_criterion_4_dual_path_agreement():
         table = naive.product_table(transition_semigroup(gr).semigroup.cayley)
         for prop in naive.LOCAL_PROPS:
             want = naive.check_local(table, prop)[0]
-            assert graph_property(gr, prop).holds == want, (i, prop)
+            assert analyze_graph(gr, [prop]).verdict(prop).holds == want, (i, prop)
             checked += 1
     print(f"PASS criterion 4: {checked} local-property verdicts match the "
           f"naive triple loops exactly")
@@ -272,14 +268,15 @@ def test_criterion_5_product_closure():
                     preserved += 1
 
     graphs = (FIX.D_triv, FIX.D_parity, FIX.D_ab)
-    graph_held = [{p: graph_property(g, p).holds for p in CLOSURE_PROPERTIES}
+    graph_held = [{p: analyze_graph(g, [p]).verdict(p).holds for p in CLOSURE_PROPERTIES}
                   for g in graphs]
     for i, g1 in enumerate(graphs):
         for j, g2 in enumerate(graphs):
             prod = graph_direct_product(g1, g2)
             for prop in CLOSURE_PROPERTIES:
                 if graph_held[i][prop] == YES and graph_held[j][prop] == YES:
-                    assert graph_property(prod, prop).holds == YES, (i, j, prop)
+                    v = analyze_graph(prod, [prop]).verdict(prop)
+                    assert v.holds == YES, (i, j, prop)
                     preserved += 1
     print(f"PASS criterion 5: {preserved} shared properties preserved by "
           f"direct products of fixtures")
@@ -291,7 +288,7 @@ def test_criterion_6_monotonicity():
     for gr in (FIX.D_triv, FIX.D_parity, FIX.D_ab):
         prev = None
         for k in range(1, 5):
-            v = is_k_testable(gr, k, budget=budget)
+            v = analyze_graph(gr, (), k=k, budget=budget).verdicts[0]
             if v.holds == "unknown":
                 break
             if prev == YES:

@@ -11,10 +11,6 @@ from testability import (
     TransitionGraph,
     analyze_graph,
     complete_with_sink,
-    graph_order_of_local_testability as order_of,
-    graph_property,
-    is_1_testable,
-    is_k_testable,
     letter_transformations,
     strongly_connected_components,
     transition_semigroup,
@@ -210,15 +206,16 @@ def test_components_of_long_chains():
 
 
 def test_1_testable_examples():
-    assert is_1_testable(FIX.D_triv).holds == "yes"
-    v = is_1_testable(FIX.D_parity)
+    assert analyze_graph(FIX.D_triv, [ONE_TESTABILITY]).verdicts[0].holds == "yes"
+    v = analyze_graph(FIX.D_parity, [ONE_TESTABILITY]).verdicts[0]
     assert v.holds == "no"
     assert v.witness == (0, 0)
     assert v.detail == "letter a is not idempotent at node 0"
-    v = is_1_testable(FIX.D_ab)
+    v = analyze_graph(FIX.D_ab, [ONE_TESTABILITY]).verdicts[0]
     assert v.witness == (0, 0)
     # completed with a sink first: a sends 0 to 1 and 1 to the sink
-    v = is_1_testable(TransitionGraph(2, 2, ((1, -1), (-1, 0))))
+    partial = TransitionGraph(2, 2, ((1, -1), (-1, 0)))
+    v = analyze_graph(partial, [ONE_TESTABILITY]).verdicts[0]
     assert (v.holds, v.witness) == ("no", (0, 0))
     assert v.detail == "letter a is not idempotent at node 0"
 
@@ -226,7 +223,7 @@ def test_1_testable_examples():
 def test_1_testable_commutation_witness():
     # two constant maps are idempotent but do not commute
     gr = TransitionGraph(2, 2, ((0, 1), (0, 1)))
-    v = is_1_testable(gr)
+    v = analyze_graph(gr, [ONE_TESTABILITY]).verdicts[0]
     assert v.holds == "no"
     assert v.witness == (0, 1, 0)
     assert "do not commute" in v.detail
@@ -235,86 +232,86 @@ def test_1_testable_commutation_witness():
 def test_1_testable_yes_with_two_letters():
     # identity letter plus a constant letter: both idempotent, commuting
     gr = TransitionGraph(2, 2, ((0, 0), (1, 0)))
-    assert is_1_testable(gr).holds == "yes"
+    assert analyze_graph(gr, [ONE_TESTABILITY]).verdicts[0].holds == "yes"
 
 
 def test_k_testable_examples():
-    assert is_k_testable(FIX.D_triv, 1).holds == "yes"
-    v = is_k_testable(FIX.D_ab, 2)
+    assert analyze_graph(FIX.D_triv, (), k=1).verdicts[0].holds == "yes"
+    v = analyze_graph(FIX.D_ab, (), k=2).verdicts[0]
     assert v.holds == "yes"
     assert "k=2" in v.detail
-    assert is_k_testable(FIX.D_ab, 1).holds == "no"
+    assert analyze_graph(FIX.D_ab, (), k=1).verdicts[0].holds == "no"
     # a partial graph is completed with a sink, not rejected
     partial = TransitionGraph(2, 2, ((1, -1), (-1, 0)))
-    v = is_k_testable(partial, 1)
+    v = analyze_graph(partial, (), k=1).verdicts[0]
     assert (v.holds, v.witness) == ("no", ((0,), (0, 0)))
-    assert v == is_k_testable(complete_with_sink(partial), 1)
-    assert is_k_testable(partial, 2).holds == "yes"
+    assert v == analyze_graph(complete_with_sink(partial), (), k=1).verdicts[0]
+    assert analyze_graph(partial, (), k=2).verdicts[0].holds == "yes"
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_parity_fails_every_window(k):
-    v = is_k_testable(FIX.D_parity, k)
+    v = analyze_graph(FIX.D_parity, (), k=k).verdicts[0]
     assert v.holds == "no"
     assert v.witness == ((0,) * k, (0,) * (k + 1))
 
 
 def test_k_testable_rejects_bad_k():
     with pytest.raises(BadK):
-        is_k_testable(FIX.D_ab, 0)
+        analyze_graph(FIX.D_ab, (), k=0)
 
 
 def test_k_testable_budget():
-    v = is_k_testable(FIX.D_parity, 3, budget=2)
+    v = analyze_graph(FIX.D_parity, (), k=3, budget=2).verdicts[0]
     assert v.holds == "unknown"
     assert "budget exceeded" in v.detail
 
 
 def test_threshold_separates_counting():
-    assert is_k_testable(CHAIN3, 1, t=1).holds == "no"
-    assert is_k_testable(CHAIN3, 1, t=2).holds == "yes"
+    assert analyze_graph(CHAIN3, (), k=1, t=1).verdicts[0].holds == "no"
+    assert analyze_graph(CHAIN3, (), k=1, t=2).verdicts[0].holds == "yes"
 
 
 def test_order_examples():
-    res = order_of(FIX.D_ab)
+    res = analyze_graph(FIX.D_ab, (), order=True).order
     assert (res.status, res.k, res.largest_failing) == ("found", 2, 1)
-    res = order_of(FIX.D_triv)
+    res = analyze_graph(FIX.D_triv, (), order=True).order
     assert (res.status, res.k, res.largest_failing) == ("found", 1, 0)
-    res = order_of(FIX.D_parity)
+    res = analyze_graph(FIX.D_parity, (), order=True).order
     assert (res.status, res.k, res.largest_failing) == ("none", None, 8)
-    res = order_of(FIX.D_parity, 3)
+    res = analyze_graph(FIX.D_parity, (), order=True, k_max=3).order
     assert (res.status, res.largest_failing) == ("none", 3)
     partial = TransitionGraph(2, 2, ((1, -1), (-1, 0)))
-    res = order_of(partial)
+    res = analyze_graph(partial, (), order=True).order
     assert (res.status, res.k, res.largest_failing) == ("found", 2, 1)
-    assert res == order_of(complete_with_sink(partial))
+    assert res == analyze_graph(complete_with_sink(partial), (), order=True).order
 
 
 def test_order_with_threshold():
-    assert order_of(CHAIN3, t=1).k == 2
-    assert order_of(CHAIN3, t=2).k == 1
+    assert analyze_graph(CHAIN3, (), order=True, t=1).order.k == 2
+    assert analyze_graph(CHAIN3, (), order=True, t=2).order.k == 1
 
 
 def test_graph_property_examples():
-    assert graph_property(FIX.D_ab, LOCAL_TESTABILITY).holds == "yes"
-    v = graph_property(FIX.D_ab, "piecewise_testability")
+    assert analyze_graph(FIX.D_ab, [LOCAL_TESTABILITY]).verdicts[0].holds == "yes"
+    v = analyze_graph(FIX.D_ab, ["piecewise_testability"]).verdicts[0]
     assert v.holds == "no"
     assert v.witness == (0, 1)
     assert "witness words: a, b" in v.detail
-    v = graph_property(FIX.D_parity, "threshold_local_testability")
+    v = analyze_graph(FIX.D_parity, ["threshold_local_testability"]).verdicts[0]
     assert v.holds == "no"
     assert "not aperiodic" in v.detail
 
 
 def test_graph_property_completes_partial_graphs():
     partial = TransitionGraph(1, 1, ((-1,),))
-    assert graph_property(partial, "aperiodicity").holds == "yes"
+    assert analyze_graph(partial, ["aperiodicity"]).verdicts[0].holds == "yes"
 
 
 def test_strict_alias():
     for gr in (FIX.D_triv, FIX.D_parity, FIX.D_ab):
-        lt = graph_property(gr, "local_testability")
-        slt = graph_property(gr, "strict_local_testability")
+        lt = analyze_graph(gr, ["local_testability"]).verdicts[0]
+        slt = analyze_graph(gr, ["strict_local_testability"]).verdicts[0]
         assert (slt.holds, slt.witness, slt.detail) == (lt.holds, lt.witness, lt.detail)
 
 
@@ -338,7 +335,7 @@ def test_analyze_graph_builds_the_transition_semigroup_once(monkeypatch):
     assert report.verdict("k_testability").holds == "yes"
     assert report.order.k == 2
     builds.clear()
-    assert is_1_testable(FIX.D_ab).holds == "no"
+    assert analyze_graph(FIX.D_ab, [ONE_TESTABILITY]).verdicts[0].holds == "no"
     assert builds == []
 
 
@@ -395,7 +392,8 @@ def _all_graphs(g, a):
 @pytest.mark.parametrize("g,a", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
 def test_1_testability_equals_window_1_exhaustively(g, a):
     for gr in _all_graphs(g, a):
-        assert is_1_testable(gr).holds == is_k_testable(gr, 1).holds
+        one = analyze_graph(gr, [ONE_TESTABILITY]).verdicts[0]
+        assert one.holds == analyze_graph(gr, (), k=1).verdicts[0].holds
 
 
 @pytest.mark.parametrize("g", [4, 5])
@@ -403,7 +401,8 @@ def test_1_testability_equals_window_1_sampled(g):
     rng = seeded(f"one-vs-window-{g}")
     for _ in range(60):
         gr = random_graph(rng, g)
-        assert is_1_testable(gr).holds == is_k_testable(gr, 1).holds
+        one = analyze_graph(gr, [ONE_TESTABILITY]).verdicts[0]
+        assert one.holds == analyze_graph(gr, (), k=1).verdicts[0].holds
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -411,7 +410,7 @@ def test_k_testability_is_monotone(seed):
     gr = random_graph(random.Random(seed), 4)
     settled = False
     for k in (1, 2, 3):
-        status = is_k_testable(gr, k, budget=200_000).holds
+        status = analyze_graph(gr, (), k=k, budget=200_000).verdicts[0].holds
         if status == "unknown":
             break
         if settled:
@@ -423,7 +422,7 @@ def test_k_testability_is_monotone(seed):
 def test_k_witnesses_revalidate(seed):
     gr = random_graph(random.Random(seed), 5)
     for k in (1, 2):
-        v = is_k_testable(gr, k)
+        v = analyze_graph(gr, (), k=k).verdicts[0]
         if v.holds == "no":
             u, w = v.witness
             assert naive.profile(u, k, 1) == naive.profile(w, k, 1)
@@ -435,6 +434,6 @@ def test_graph_verdicts_match_transition_semigroup(prop):
     # the graph route is the semigroup route plus word translation
     ts = transition_semigroup(FIX.D_ab)
     direct = PROPERTY_CHECKS[prop](ts.semigroup)
-    via_graph = graph_property(FIX.D_ab, prop)
+    via_graph = analyze_graph(FIX.D_ab, [prop]).verdict(prop)
     assert via_graph.holds == direct.holds
     assert via_graph.witness == direct.witness

@@ -2,9 +2,13 @@
 uses, anything from the tests or the benchmark, or anything outside the
 standard library, and no function assigns a local it never reads; the
 public surface is exactly what ``__init__`` imports; every name the
-benchmark's tracer wraps still exists."""
+benchmark's tracer wraps still exists; the README's Library section
+names only what the package exports."""
 
 import ast
+import dataclasses
+import keyword
+import re
 import sys
 from pathlib import Path
 
@@ -124,3 +128,25 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
         tracing.install(tracer, testability)
     finally:
         tracer.restore()
+
+
+def test_readme_library_section_names_only_exported_names():
+    """Every bare identifier the README's Library section puts in an
+    inline code span is an exported name or a field of an exported
+    dataclass, and its ``from testability import`` line runs, so the
+    section cannot keep naming a function the package dropped."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    prose = re.sub(r"^```.*?^```", "", section, flags=re.S | re.M)
+    fields = {f.name for name in testability.__all__
+              if dataclasses.is_dataclass(obj := getattr(testability, name))
+              for f in dataclasses.fields(obj)}
+    spans = re.findall(r"`([^`\n]+)`", prose)
+    named = {s for s in spans if s.isidentifier() and not keyword.iskeyword(s)}
+    assert named, "no names found in the Library section"
+    unknown = sorted(named - set(testability.__all__) - fields)
+    assert unknown == [], f"README names what the package does not export: {unknown}"
+    imports = [line for line in section.splitlines()
+               if line.startswith("from testability import ")]
+    assert len(imports) == 1
+    exec(imports[0], {})

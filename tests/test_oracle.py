@@ -9,11 +9,10 @@ from hypothesis import given, settings, strategies as st
 from testability import (
     BadK,
     TransitionGraph,
+    analyze_graph,
+    analyze_semigroup,
     complete_with_sink,
-    graph_order_of_local_testability,
-    is_k_testable,
     profile_determines,
-    semigroup_order_of_local_testability,
 )
 from testability import graphs, semigroups
 from tests import naive
@@ -95,11 +94,11 @@ def test_search_rejects_a_budget_below_one(budget):
 @pytest.mark.parametrize("k_max", [0, -3])
 def test_order_search_rejects_a_largest_window_below_one(k_max):
     with pytest.raises(BadK):
-        graph_order_of_local_testability(FIX.D_ab, k_max)
+        analyze_graph(FIX.D_ab, (), order=True, k_max=k_max)
     with pytest.raises(BadK):
-        graph_order_of_local_testability(FIX.D_ab, k_max, t=0)
+        analyze_graph(FIX.D_ab, (), order=True, k_max=k_max, t=0)
     with pytest.raises(BadK):
-        semigroup_order_of_local_testability(FIX.U1, k_max)
+        analyze_semigroup(FIX.U1, (), order=True, k_max=k_max)
 
 
 def test_search_rejects_an_empty_alphabet():
@@ -255,12 +254,12 @@ def test_cayley_fold_matches_node_maps(monkeypatch):
         initial, step = graph_action(gr)
         a = gr.alphabet_size
         searches.clear()
-        is_k_testable(gr, k, t=t, budget=budget)
+        analyze_graph(gr, (), k=k, t=t, budget=budget)
         ref = profile_determines(initial, step, a, k, t, budget)
         assert searches == [ref]
         verdicts.add(ref.status)
         searches.clear()
-        order = graph_order_of_local_testability(gr, 3, t=t, budget=budget)
+        order = analyze_graph(gr, (), order=True, k_max=3, t=t, budget=budget).order
         refs = []
         for j in range(1, 4):
             refs.append(profile_determines(initial, step, a, j, t, budget))

@@ -1,4 +1,4 @@
-"""Direct products: generator layout, componentwise law, graph powers."""
+"""Direct products: generator layout, componentwise law, graph products."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from testability import (
     analyze_semigroup,
     check_associativity,
     graph_direct_product,
-    graph_power,
     parse_graph,
     parse_semigroup,
     semigroup_direct_product,
@@ -129,21 +128,11 @@ def test_product_requires_complete_inputs():
         graph_direct_product(FIX.D_parity, partial)
 
 
-def test_graph_power():
-    assert graph_power(FIX.D_parity, 1) is FIX.D_parity
-    assert graph_power(FIX.D_parity, 2) == graph_direct_product(FIX.D_parity,
-                                                                FIX.D_parity)
-    assert graph_power(FIX.D_ab, 2).node_count == 9
-    assert graph_power(FIX.D_parity, 3).node_count == 8
-    with pytest.raises(ValueError):
-        graph_power(FIX.D_parity, 0)
-
-
 def test_product_semigroup_divides_the_factor_square():
     for gr in (FIX.D_parity, FIX.D_ab):
         single = transition_semigroup(gr).semigroup.element_count
-        square = transition_semigroup(graph_power(gr, 2)).semigroup.element_count
-        assert square <= single * single
+        square = graph_direct_product(gr, gr)
+        assert transition_semigroup(square).semigroup.element_count <= single * single
 
 
 def test_product_outputs_round_trip():

@@ -28,7 +28,6 @@ from testability import (
     local_submonoid,
     parse_semigroup,
     semigroup_direct_product,
-    semigroup_order_of_local_testability as order_of,
     transition_semigroup,
     write_semigroup,
 )
@@ -282,11 +281,11 @@ def test_generator_testability_examples():
 
 
 def test_order_examples():
-    found = order_of(FIX.U1)
+    found = analyze_semigroup(FIX.U1, (), order=True).order
     assert (found.status, found.k, found.largest_failing) == ("found", 1, 0)
-    found = order_of(FIX.LZ2)
+    found = analyze_semigroup(FIX.LZ2, (), order=True).order
     assert (found.status, found.k, found.largest_failing) == ("found", 2, 1)
-    none = order_of(FIX.Z2)
+    none = analyze_semigroup(FIX.Z2, (), order=True).order
     assert (none.status, none.k, none.largest_failing) == ("none", None, 8)
 
 
@@ -300,7 +299,7 @@ def test_order_found_matches_brute_force():
 
 
 def test_order_respects_budget():
-    res = order_of(FIX.Z2, budget=2)
+    res = analyze_semigroup(FIX.Z2, (), order=True, budget=2).order
     assert res.status == "unknown"
     assert res.k is None
     assert res.largest_failing == 1
@@ -607,7 +606,7 @@ def test_no_witnesses_reevaluate(i):
 def test_order_postcondition(i):
     s = CORPUS[i]
     # alphabets past two letters exhaust any budget at k >= 2; bail fast
-    res = order_of(s, k_max=4, budget=50_000)
+    res = analyze_semigroup(s, (), order=True, k_max=4, budget=50_000).order
     if res.status == "found":
         assert res.largest_failing == res.k - 1
 
