@@ -77,7 +77,7 @@ def transition_semigroup(gr: TransitionGraph) -> TransitionSemigroup:
     rows, label_to_gen, gen_letters = _closure(gr)
     sg = FiniteSemigroup(rows)
     # Composition of maps is associative, so Light's test is skipped.
-    sg._associativity = Verdict(ASSOCIATIVITY, YES)
+    sg._verdicts[ASSOCIATIVITY] = Verdict(ASSOCIATIVITY, YES)
     return TransitionSemigroup(sg, tuple(label_to_gen), tuple(gen_letters))
 
 
@@ -105,21 +105,20 @@ def _closure(gr: TransitionGraph):
     map of u with the full map of generator j.
     """
     letters = letter_transformations(gr)
-    gens: list[Transformation] = []
+    elements: list[Transformation] = []
     gen_letters: list[int] = []
     label_to_gen: list[int] = []
     ids: dict[Transformation, int] = {}
     for a, tr in enumerate(zip(*dict.fromkeys(gr.delta))):
         j = ids.get(tr)
         if j is None:
-            j = len(gens)
+            j = len(elements)
             ids[tr] = j
-            gens.append(tr)
+            elements.append(tr)
             gen_letters.append(a)
         label_to_gen.append(j)
-    g = len(gens)
+    g = len(elements)
     gen_maps = [letters[a] for a in gen_letters]
-    elements = list(gens)
     first = list(range(g))
     last = list(range(g))
     prefix: list[int | None] = [None] * g
@@ -222,12 +221,11 @@ def analyze_graph(gr: TransitionGraph, properties=None, *, order: bool = False,
     if algebraic or order or k is not None:
         ts = transition_semigroup(completed)
     verdicts = []
-    done: dict = {}
     for p in props:
         if p == ONE_TESTABILITY:
             verdicts.append(_one_testability(completed))
         else:
-            verdicts.append(_with_witness_words(_check(ts.semigroup, p, done), ts))
+            verdicts.append(_with_witness_words(_check(ts.semigroup, p), ts))
     if k is not None:
         verdicts.append(_k_testability(ts, k, t, budget))
     order_result = None

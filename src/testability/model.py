@@ -141,12 +141,12 @@ class FiniteSemigroup:
     x*(z*g) = (x*z)*g, and cached as a tuple; when every element is a
     generator there is nothing to fill and the row is ``cayley[x]``
     itself.  ``product`` is the table of those same tuples.
-    Instances are immutable apart from this cache and the stored
-    verdict of Light's associativity test.
+    Instances are immutable apart from the row cache and the verdict
+    memo, which maps a property name to its Verdict.
     """
 
     __slots__ = ("element_count", "generator_count", "cayley", "factorization",
-                 "_steps", "_rows", "_associativity")
+                 "_steps", "_rows", "_verdicts")
 
     def __init__(self, rows):
         rows = tuple(tuple(map(int, row)) for row in rows)
@@ -176,7 +176,7 @@ class FiniteSemigroup:
         self.factorization = tuple(fact)
         self._steps = tuple(steps)
         self._rows: dict[int, tuple[int, ...]] = {}
-        self._associativity = None  # Light's test verdict, set by check_associativity
+        self._verdicts: dict = {}  # filled by semigroups._check
 
     def row(self, x: int) -> tuple[int, ...]:
         """The full row x*y for every y.  Computed once, then cached."""

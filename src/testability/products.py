@@ -40,9 +40,9 @@ def semigroup_direct_product(s1: FiniteSemigroup, s2: FiniteSemigroup) -> Finite
         r1, r2 = s1.row(x), s2.row(y)
         rows.append([index[r1[u], r2[v]] for u, v in gens])
     out = FiniteSemigroup(rows)
-    stored = (s1._associativity, s2._associativity)
-    if all(v is not None and v.holds == YES for v in stored):
-        out._associativity = Verdict(ASSOCIATIVITY, YES)
+    yes = Verdict(ASSOCIATIVITY, YES)
+    if s1._verdicts.get(ASSOCIATIVITY) == yes == s2._verdicts.get(ASSOCIATIVITY):
+        out._verdicts[ASSOCIATIVITY] = yes
     return out
 
 

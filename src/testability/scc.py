@@ -8,14 +8,15 @@ def strongly_connected_components(succ) -> list[list[int]]:
 
     Iterative so that graphs with long chains do not hit the recursion
     limit: each vertex on the work stack carries an iterator over its
-    edges, and index 0 marks a vertex not yet visited.  Each component
-    is sorted; components are ordered by their least member, which
-    makes downstream witness choices deterministic.
+    edges.  Index 0 marks a vertex not yet visited, and n + 1 one already
+    in a component: no low-link reaches n + 1, so an edge into a finished
+    component never lowers one.  Each component is sorted; components
+    are ordered by their least member, which makes downstream witness
+    choices deterministic.
     """
     n = len(succ)
     index = [0] * n
     low = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     counter = 0
     components: list[list[int]] = []
@@ -26,7 +27,6 @@ def strongly_connected_components(succ) -> list[list[int]]:
         counter += 1
         index[root] = low[root] = counter
         stack.append(root)
-        on_stack[root] = True
         work = [(root, iter(succ[root]))]
         while work:
             v, edges = work[-1]
@@ -35,10 +35,9 @@ def strongly_connected_components(succ) -> list[list[int]]:
                     counter += 1
                     index[w] = low[w] = counter
                     stack.append(w)
-                    on_stack[w] = True
                     work.append((w, iter(succ[w])))
                     break
-                if on_stack[w] and index[w] < low[v]:
+                if index[w] < low[v]:
                     low[v] = index[w]
             else:
                 work.pop()
@@ -50,7 +49,7 @@ def strongly_connected_components(succ) -> list[list[int]]:
                     comp = []
                     while True:
                         w = stack.pop()
-                        on_stack[w] = False
+                        index[w] = n + 1
                         comp.append(w)
                         if w == v:
                             break

@@ -19,7 +19,6 @@ reproducible run to run.  The properties decided here:
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import islice
 
 from .model import (NO, YES, BadK, FiniteSemigroup, NotIdempotent, OrderResult,
                     PropertyReport, Verdict, compose)
@@ -40,17 +39,10 @@ ONE_TESTABILITY = "one_testability"
 LOCAL_PROPERTIES = (LOCAL_IDEMPOTENCE, LOCAL_TESTABILITY, STRICT_LOCAL_TESTABILITY,
                     RIGHT_LOCAL_TESTABILITY, LEFT_LOCAL_TESTABILITY)
 
-ALL_PROPERTIES = (ASSOCIATIVITY, APERIODICITY, LOCAL_IDEMPOTENCE, LOCAL_TESTABILITY,
-                  STRICT_LOCAL_TESTABILITY, RIGHT_LOCAL_TESTABILITY,
-                  LEFT_LOCAL_TESTABILITY, THRESHOLD_LOCAL_TESTABILITY,
-                  PIECEWISE_TESTABILITY, ONE_TESTABILITY)
-
 
 def check_associativity(s: FiniteSemigroup) -> Verdict:
     """Light's test, run once per value: the verdict is kept on ``s``."""
-    if s._associativity is None:
-        s._associativity = _lights_test(s)
-    return s._associativity
+    return _check(s, ASSOCIATIVITY)
 
 
 def _lights_test(s: FiniteSemigroup) -> Verdict:
@@ -90,24 +82,18 @@ def _generating_subset(s: FiniteSemigroup) -> list[int] | None:
     reached = [False] * s.element_count
     order: list[int] = []
     kept: list[int] = []
-
-    def reach(y: int) -> None:
-        if not reached[y]:
-            reached[y] = True
-            order.append(y)
-
     for j in range(s.generator_count):
         if reached[j]:
             continue
         kept.append(j)
-        old = len(order)
-        reach(j)
-        for x in order[:old]:
-            reach(cayley[x][j])
-        for x in islice(order, old, None):  # sees what the loop appends
-            row = cayley[x]
-            for k in kept:
-                reach(row[k])
+        todo = [j] + [cayley[x][j] for x in order]
+        while todo:
+            y = todo.pop()
+            if not reached[y]:
+                reached[y] = True
+                order.append(y)
+                row = cayley[y]
+                todo += [row[k] for k in kept]
     return kept if len(order) == s.element_count else None
 
 
@@ -221,7 +207,7 @@ def is_threshold_locally_testable(s: FiniteSemigroup) -> Verdict:
     that fails is the least failing (e, f); only it is rescanned over
     all u in S for the lexicographically least (e, f, x, u, y).
     """
-    aperiodic = is_aperiodic(s)
+    aperiodic = _check(s, APERIODICITY)
     if aperiodic.holds == NO:
         return Verdict(THRESHOLD_LOCAL_TESTABILITY, NO, aperiodic.witness,
                        "not aperiodic: " + aperiodic.detail)
@@ -379,11 +365,13 @@ def _local_check(prop):
 
 
 PROPERTY_CHECKS = {
-    ASSOCIATIVITY: check_associativity,
+    ASSOCIATIVITY: lambda s: _lights_test(s),  # looked up per call, like _local_check
     APERIODICITY: is_aperiodic,
     LOCAL_IDEMPOTENCE: _local_check(LOCAL_IDEMPOTENCE),
     LOCAL_TESTABILITY: _local_check(LOCAL_TESTABILITY),
-    STRICT_LOCAL_TESTABILITY: _local_check(STRICT_LOCAL_TESTABILITY),
+    # The same predicate as local_testability: its verdict, renamed.
+    STRICT_LOCAL_TESTABILITY: lambda s: replace(_check(s, LOCAL_TESTABILITY),
+                                                property=STRICT_LOCAL_TESTABILITY),
     RIGHT_LOCAL_TESTABILITY: _local_check(RIGHT_LOCAL_TESTABILITY),
     LEFT_LOCAL_TESTABILITY: _local_check(LEFT_LOCAL_TESTABILITY),
     THRESHOLD_LOCAL_TESTABILITY: is_threshold_locally_testable,
@@ -391,18 +379,16 @@ PROPERTY_CHECKS = {
     ONE_TESTABILITY: check_generator_testability,
 }
 
-
-# Properties decided by one and the same scan, under different names.
-_SAME_SCAN = {LOCAL_TESTABILITY: STRICT_LOCAL_TESTABILITY,
-              STRICT_LOCAL_TESTABILITY: LOCAL_TESTABILITY}
+# The default properties, in report order.
+ALL_PROPERTIES = tuple(PROPERTY_CHECKS)
 
 
-def _check(s: FiniteSemigroup, prop: str, done: dict) -> Verdict:
-    """PROPERTY_CHECKS[prop](s), renaming the verdict already in ``done``
-    when a property with the same scan was checked; records the result."""
-    twin = done.get(_SAME_SCAN.get(prop))
-    v = PROPERTY_CHECKS[prop](s) if twin is None else replace(twin, property=prop)
-    done[prop] = v
+def _check(s: FiniteSemigroup, prop: str) -> Verdict:
+    """PROPERTY_CHECKS[prop](s), run once per value: the verdict is kept
+    on ``s``, so a check that another one includes is not run again."""
+    v = s._verdicts.get(prop)
+    if v is None:
+        v = s._verdicts[prop] = PROPERTY_CHECKS[prop](s)
     return v
 
 
@@ -423,8 +409,7 @@ def analyze_semigroup(s: FiniteSemigroup, properties=None, *, order: bool = Fals
                       source: str = "") -> PropertyReport:
     """Run the requested checks (all of them by default) on one semigroup."""
     props = _resolve_properties(properties)
-    done: dict = {}
-    verdicts = tuple(_check(s, p, done) for p in props)
+    verdicts = tuple(_check(s, p) for p in props)
     order_result = None
     stats = {"elements": s.element_count, "generators": s.generator_count}
     if order:

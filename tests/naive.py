@@ -167,6 +167,25 @@ def submagma(cayley, kept):
         elements |= new
 
 
+def greedy_generating_subset(cayley):
+    """Generators kept greedily, ascending: j is kept unless it is in the
+    right-reach of the kept ones under the kept columns, recomputed from
+    scratch for each j.  Returns the kept list and its final reach."""
+    def right_reach(kept):
+        reach = set(kept)
+        while True:
+            new = {cayley[x][k] for x in reach for k in kept} - reach
+            if not new:
+                return reach
+            reach |= new
+
+    kept = []
+    for j in range(len(cayley[0])):
+        if j not in right_reach(kept):
+            kept.append(j)
+    return kept, right_reach(kept)
+
+
 def check_local(table, prop):
     """(verdict, witness) for one of the five local properties."""
     assert prop in LOCAL_PROPS

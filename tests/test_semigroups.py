@@ -16,6 +16,7 @@ from testability import (
     NotGenerated,
     NotIdempotent,
     TransitionGraph,
+    analyze_graph,
     analyze_semigroup,
     check_associativity,
     check_generator_testability,
@@ -34,6 +35,7 @@ from testability import (
 from testability import semigroups
 from testability.oracle import profile_determines
 from testability.semigroups import (
+    APERIODICITY,
     LEFT_LOCAL_TESTABILITY,
     LOCAL_IDEMPOTENCE,
     LOCAL_TESTABILITY,
@@ -187,6 +189,34 @@ def test_lights_subset_route_agrees_with_full_scan():
     assert len(cases) == 3, cases
 
 
+def test_generating_subset_is_the_greedy_reference():
+    """``_generating_subset`` keeps what the from-scratch greedy reference
+    keeps, or is None exactly when that reach misses an element, on the
+    tables of the subset-route cross-check above (same seed, same draws).
+    The kept list decides what Light's test costs, so any change to it
+    shows here."""
+    rng = seeded("lights-subset")
+    tables = list(CORPUS)
+    while len(tables) < len(CORPUS) + 12:
+        a, b = rng.sample(CORPUS, 2)
+        if a.element_count * b.element_count <= 40:
+            tables.append(semigroup_direct_product(a, b))
+    cases = Counter()
+    for s in tables:
+        for _ in range(8):
+            m = s
+            for _ in range(rng.randint(0, 3)):
+                if m is not None:
+                    m = _mutated(m, rng)
+            if m is None:
+                continue
+            kept, reach = naive.greedy_generating_subset(m.cayley)
+            complete = len(reach) == m.element_count
+            assert semigroups._generating_subset(m) == (kept if complete else None)
+            cases[complete] += 1
+    assert len(cases) == 2, cases
+
+
 def test_lights_test_on_criterion_8_table_scans_few_generators(monkeypatch):
     """Parsing criterion 8's n=500 table scans at most 8 of its 86
     generators, and the scan over all of them does not run."""
@@ -321,14 +351,44 @@ def test_strict_local_testability_reuses_the_lt_scan(monkeypatch):
     scan = semigroups.check_local_property
     monkeypatch.setattr(semigroups, "check_local_property",
                         lambda s, prop: scanned.append(prop) or scan(s, prop))
-    s = cyclic_group(2)
     for props in ([LOCAL_TESTABILITY, STRICT_LOCAL_TESTABILITY],
                   [STRICT_LOCAL_TESTABILITY, LOCAL_TESTABILITY]):
         scanned.clear()
-        lt, slt = analyze_semigroup(s, props).verdicts
-        assert scanned == props[:1]
+        lt, slt = analyze_semigroup(cyclic_group(2), props).verdicts
+        assert scanned == [LOCAL_TESTABILITY]
         assert (lt.property, slt.property) == tuple(props)
         assert (lt.holds, lt.witness, lt.detail) == (slt.holds, slt.witness, slt.detail)
+
+
+def test_all_properties_run_the_aperiodicity_check_once(monkeypatch):
+    """Threshold local testability includes aperiodicity and reads its
+    verdict from the memo instead of scanning the powers again."""
+    calls = []
+    scan = semigroups.is_aperiodic
+
+    def spy(s):
+        calls.append(s)
+        return scan(s)
+
+    monkeypatch.setattr(semigroups, "is_aperiodic", spy)
+    monkeypatch.setitem(PROPERTY_CHECKS, APERIODICITY, spy)
+    analyze_semigroup(rectangular_band(2, 3))
+    assert len(calls) == 1
+    calls.clear()
+    analyze_graph(random_graph(seeded("aperiodicity-once"), 4))
+    assert len(calls) == 1
+
+
+def test_a_second_analysis_of_one_value_runs_no_check(monkeypatch):
+    s = rectangular_band(2, 3)
+    first = analyze_semigroup(s)
+    ran = []
+    for prop, check in list(PROPERTY_CHECKS.items()):
+        monkeypatch.setitem(
+            PROPERTY_CHECKS, prop,
+            lambda s, prop=prop, check=check: ran.append(prop) or check(s))
+    assert analyze_semigroup(s) == first
+    assert ran == []
 
 
 def test_analyze_semigroup_select_and_dedup():
