@@ -76,24 +76,31 @@ def _generating_subset(s: FiniteSemigroup) -> list[int] | None:
     The reach grows incrementally: a new column is applied once to each
     element reached before it, and each newly reached element once to
     every kept column, so each (element, kept column) pair is visited
-    once.
+    once.  An element is marked as it is reached, and ``order`` past
+    ``i`` is the queue of those not yet multiplied out.
     """
     cayley = s.cayley
     reached = [False] * s.element_count
     order: list[int] = []
     kept: list[int] = []
+
+    def reach(y):
+        if not reached[y]:
+            reached[y] = True
+            order.append(y)
+
     for j in range(s.generator_count):
         if reached[j]:
             continue
         kept.append(j)
-        todo = [j] + [cayley[x][j] for x in order]
-        while todo:
-            y = todo.pop()
-            if not reached[y]:
-                reached[y] = True
-                order.append(y)
-                row = cayley[y]
-                todo += [row[k] for k in kept]
+        i = len(order)
+        for y in [j] + [cayley[x][j] for x in order]:
+            reach(y)
+        while i < len(order):
+            row = cayley[order[i]]
+            i += 1
+            for k in kept:
+                reach(row[k])
     return kept if len(order) == s.element_count else None
 
 
@@ -202,10 +209,20 @@ def is_threshold_locally_testable(s: FiniteSemigroup) -> Verdict:
       is scanned.  For idempotents eS = dS exactly when e*d = d and
       d*e = e, and Sf = Sd exactly when f*d = f and d*f = d.
 
-    The least (e, f) of a class pair is the pair of its least members,
-    and these pairs are visited in ascending order, so the first one
-    that fails is the least failing (e, f); only it is rescanned over
-    all u in S for the lexicographically least (e, f, x, u, y).
+    A "yes" needs only the maximal classes (Beauquier and Pin 1991;
+    Trahtman 2004).  If the identity holds at (e, f), it holds at every
+    (e', f') with e*e' = e' and f'*f = f': e'xf' = e*(e'xf')*f, so
+    e'Sf' is inside eSf, and u still ranges over all of S.  So the
+    pairs of the maximal representatives are scanned first, ascending:
+    e with no other representative d above it (d*e = e, so eS is
+    inside dS) and f with none above it (f*d = f); when they all pass,
+    the answer is "yes".
+
+    Otherwise every pair of representatives is scanned in ascending
+    order.  The least (e, f) of a class pair is the pair of its least
+    members, so the first one that fails is the least failing (e, f);
+    only it is rescanned over all u in S for the lexicographically
+    least (e, f, x, u, y).
     """
     aperiodic = _check(s, APERIODICITY)
     if aperiodic.holds == NO:
@@ -218,11 +235,13 @@ def is_threshold_locally_testable(s: FiniteSemigroup) -> Verdict:
             r_reps.append(e)
         if all(prod(e, d) != e or prod(d, e) != d for d in l_reps):
             l_reps.append(e)
-    for e in r_reps:
-        for f in l_reps:
-            if not _sandwich_identity_holds(s, e, f):
-                return _least_sandwich_witness(s, e, f)
-    return Verdict(THRESHOLD_LOCAL_TESTABILITY, YES)
+    r_top = [e for e in r_reps if all(d == e or prod(d, e) != e for d in r_reps)]
+    l_top = [f for f in l_reps if all(d == f or prod(f, d) != f for d in l_reps)]
+    if all(_sandwich_identity_holds(s, e, f) for e in r_top for f in l_top):
+        return Verdict(THRESHOLD_LOCAL_TESTABILITY, YES)
+    e, f = next((e, f) for e in r_reps for f in l_reps
+                if not _sandwich_identity_holds(s, e, f))
+    return _least_sandwich_witness(s, e, f)
 
 
 def _sandwich_identity_holds(s: FiniteSemigroup, e: int, f: int) -> bool:

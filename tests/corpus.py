@@ -83,6 +83,16 @@ def min_chain(m: int) -> FiniteSemigroup:
                                  for x in range(m)))
 
 
+def free_semilattice(k: int) -> FiniteSemigroup:
+    """Nonempty subsets of k letters under union: the k singletons, in
+    letter order, then the other subsets by increasing bitmask."""
+    masks = [1 << i for i in range(k)]
+    masks += [m for m in range(1, 1 << k) if m & (m - 1)]
+    index = {m: i for i, m in enumerate(masks)}
+    return FiniteSemigroup(tuple(tuple(index[m | masks[j]] for j in range(k))
+                                 for m in masks))
+
+
 def semigroup_zoo() -> list[FiniteSemigroup]:
     """Small semigroups of assorted shapes, all with n <= 6."""
     return [

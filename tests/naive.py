@@ -250,6 +250,14 @@ def check_ltt(table):
     return "yes", None
 
 
+def sandwich_holds(table, e, f):
+    """e x f u e y f = e y f u e x f for all x, u, y, at one pair (e, f)."""
+    n = len(table)
+    exf = [table[table[e][x]][f] for x in range(n)]
+    return all(table[table[p][u]][q] == table[table[q][u]][p]
+               for p in exf for u in range(n) for q in exf)
+
+
 def class_representatives(table):
     """The least idempotent of each R-class and of each L-class, found by
     comparing the sets eS and Se of the full table."""
@@ -260,6 +268,17 @@ def class_representatives(table):
             r.setdefault(frozenset(table[e]), e)
             l.setdefault(frozenset(table[x][e] for x in range(n)), e)
     return list(r.values()), list(l.values())
+
+
+def maximal_representatives(table):
+    """The class representatives whose set eS (for R) or Se (for L) is
+    contained in no other representative's set."""
+    n = len(table)
+    r, l = class_representatives(table)
+    right = {e: frozenset(table[e]) for e in r}
+    left = {f: frozenset(table[x][f] for x in range(n)) for f in l}
+    return ([e for e in r if not any(right[e] < right[d] for d in r)],
+            [f for f in l if not any(left[f] < left[d] for d in l)])
 
 
 def two_sided_ideal(table, x):

@@ -44,12 +44,12 @@ from testability import (
     write_graph,
     write_semigroup,
 )
-from testability import graphs
+from testability import graphs, semigroups
 from testability.cli import main
 from testability.semigroups import PROPERTY_CHECKS
 from tests import naive
-from tests.corpus import (cyclic_group, fixtures, min_chain, random_dfas, random_graph,
-                          rectangular_band, seeded)
+from tests.corpus import (cyclic_group, fixtures, free_semilattice, min_chain, random_dfas,
+                          random_graph, rectangular_band, seeded)
 
 FIX = fixtures()
 
@@ -522,3 +522,24 @@ def test_criterion_13_lights_test_on_all_generator_table():
     assert elapsed < 30.0
     print(f"PASS criterion 13: Light's test on n = g = 1,280 answers yes in "
           f"{elapsed:.1f}s < 30s")
+
+
+def test_criterion_14_threshold_maximal_pairs(monkeypatch):
+    # The free semilattice on 8 letters: 255 subsets under union, each
+    # one idempotent and alone in its R- and L-class.  A subset e lies
+    # below d exactly when it contains d, so the maximal classes are the
+    # 8 singletons, and a "yes" scans 8 x 8 pairs, not 255 x 255.
+    s = free_semilattice(8)
+    assert s.element_count == 255
+    scanned = []
+    scan = semigroups._sandwich_identity_holds
+    monkeypatch.setattr(semigroups, "_sandwich_identity_holds",
+                        lambda s, e, f: scanned.append((e, f)) or scan(s, e, f))
+    t0 = time.perf_counter()
+    v = is_threshold_locally_testable(s)
+    elapsed = time.perf_counter() - t0
+    assert v.holds == YES
+    assert len(scanned) == 8 * 8
+    assert elapsed < 3.0
+    print(f"PASS criterion 14: LTT on the 255-element free semilattice answers "
+          f"yes over {len(scanned)} class pairs in {elapsed:.2f}s < 3s")

@@ -492,35 +492,63 @@ def test_threshold_scans_each_class_pair_once(monkeypatch):
     scan = semigroups._sandwich_identity_holds
     monkeypatch.setattr(semigroups, "_sandwich_identity_holds",
                         lambda s, e, f: scanned.append((e, f)) or scan(s, e, f))
-    s = semigroup_direct_product(ltt_identity_failures()[4], left_zero(2))
-    v = is_threshold_locally_testable(s)
-    idem = idempotents(s)
-    e, f = v.witness[:2]
-    visited = idem.index(e) * len(idem) + idem.index(f) + 1
-    assert scanned[-1] == (e, f)
-    assert len(scanned) < visited
-    scanned.clear()
+    # The band's two rows and two columns at the chain's top: 2 x 2 pairs
+    # of the 6 x 6 class pairs and 9 x 9 idempotent pairs.
     square = semigroup_direct_product(rectangular_band(2, 2), min_chain(3))
     assert is_threshold_locally_testable(square).holds == "yes"
-    assert len(scanned) == 6 * 6 < len(idempotents(square)) ** 2
-    # The scanned pairs are the least idempotents of the R- and L-classes,
+    assert len(scanned) == 2 * 2
+    # A "yes" scans the pairs of maximal R- and L-class representatives,
     # found from the eS and Se sets of the full table, in ascending
-    # order, up to the witness pair on a "no".
+    # order.  A "no" scans them up to the first that fails, then the
+    # pairs of the least idempotents of all R- and L-classes, ascending,
+    # up to the witness pair.
     members = [t for t in CORPUS + ltt_identity_failures()
                if is_aperiodic(t).holds == "yes"]
     verdicts = Counter()
     for t in members:
         for s in (t, semigroup_direct_product(t, left_zero(2)),
                   semigroup_direct_product(t, right_zero(2))):
-            r, l = naive.class_representatives(naive.product_table(s.cayley))
-            pairs = [(e, f) for e in r for f in l]
+            table = naive.product_table(s.cayley)
+            r_top, l_top = naive.maximal_representatives(table)
+            expect = [(e, f) for e in r_top for f in l_top]
             scanned.clear()
             v = is_threshold_locally_testable(s)
             if v.holds == "no":
-                pairs = pairs[:pairs.index(v.witness[:2]) + 1]
-            assert scanned == pairs
+                failing = next(p for p in expect if not naive.sandwich_holds(table, *p))
+                r, l = naive.class_representatives(table)
+                pairs = [(e, f) for e in r for f in l]
+                expect = (expect[:expect.index(failing) + 1]
+                          + pairs[:pairs.index(v.witness[:2]) + 1])
+            assert scanned == expect
             verdicts[v.holds] += 1
     assert verdicts["yes"] and verdicts["no"]
+
+
+def test_threshold_maximal_pairs_agree_with_naive():
+    # The maximal-pair scan decides "yes"; a "no" falls back to the full
+    # ascending scan, whose witness pair need not be maximal.  Seeded
+    # DFA semigroups of up to 30 elements keep the quintuple loop cheap.
+    members = CORPUS + ltt_identity_failures()
+    members += [semigroup_direct_product(t, z) for t in members
+                for z in (left_zero(2), right_zero(2))]
+    rng = seeded("ltt-maximal-pairs")
+    dfas = []
+    while len(dfas) < 200:
+        s = transition_semigroup(random_graph(rng, rng.randrange(2, 6))).semigroup
+        if s.element_count <= 30:
+            dfas.append(s)
+    verdicts = Counter()
+    for s in members + dfas:
+        table = naive.product_table(s.cayley)
+        v = is_threshold_locally_testable(s)
+        assert (v.holds, v.witness) == naive.check_ltt(table)
+        if v.holds == "yes":
+            verdicts["yes"] += 1
+        elif len(v.witness) == 5:
+            r_top, l_top = naive.maximal_representatives(table)
+            e, f = v.witness[:2]
+            verdicts["maximal" if e in r_top and f in l_top else "below"] += 1
+    assert verdicts["yes"] and verdicts["maximal"] and verdicts["below"]
 
 
 @pytest.mark.parametrize("i", MEMBERS, ids=IDS)
