@@ -2,12 +2,13 @@
 
 Every check but 1-testability goes through the graph's transition
 semigroup (the closure of the letter transformations under
-composition), built at most once per analysis.  Algebraic properties
-are checked on it directly; window-size questions (a fixed k, or the
-least k) run the profile oracle on words folded over its Cayley rows,
-which gives the verdicts node maps would give, because distinct
-elements are distinct node maps.  1-testability is read off the letter
-maps alone.  Partial graphs are completed with a sink first; every
+composition), built at most once per analysis by one breadth-first
+loop over node maps, coded as byte strings when the letters reach at
+most 256 nodes.  Algebraic properties are checked on it directly;
+window-size questions (a fixed k, or the least k) run the profile
+oracle on words folded over its Cayley rows, which gives the verdicts
+node maps would give, because distinct elements are distinct node
+maps.  1-testability is read off the letter maps alone.  Partial graphs are completed with a sink first; every
 analysis here assumes and enforces completeness.
 """
 
@@ -70,9 +71,10 @@ class TransitionSemigroup:
 def transition_semigroup(gr: TransitionGraph) -> TransitionSemigroup:
     """Close the letter transformations under composition.
 
-    The node maps live only while ``_closure`` runs, so they are freed
-    before the table's own closure starts: the result keeps only the
-    Cayley table and the letter names.
+    Elements are numbered in shortlex order of their least generator
+    words.  The node maps live only while ``_closure`` runs, so they
+    are freed before the table's own closure starts: the result keeps
+    only the Cayley table and the letter names.
     """
     rows, label_to_gen, gen_letters = _closure(gr)
     sg = FiniteSemigroup(rows)
@@ -85,77 +87,47 @@ def _closure(gr: TransitionGraph):
     """Cayley rows, letter-to-generator map and generator letters of the
     closure of the letter maps.
 
-    Froidure and Pin's enumeration (Algorithms for computing finite
-    semigroups, 1997): elements are found in shortlex order of their
-    least generator words, which is breadth-first discovery order with
-    generators ascending, and each one keeps its first generator, last
-    generator, prefix and suffix.  For u = b*s (b its first generator)
-    the product u*j is b*(s*j).  When the word of s followed by j is not
-    the least word of s*j, that element r is already known, and
-    b*r = (b*prefix(r))*last(r) is a lookup in the left Cayley rows, then
-    in the right ones.  Only the other edges compose node maps.  Left
-    rows are filled one word length at a time, after the right rows of
-    that length.
+    One breadth-first loop composes every element, in discovery order,
+    with every generator, ascending, so elements are numbered in
+    shortlex order of their least generator words.
 
-    Elements and generators are keyed by their maps on one node per
-    distinct row of ``delta``: nodes p and q with equal rows are sent to
-    the same node by every letter, hence by every element (a letter
-    followed by something), so two elements are equal exactly when
-    these restricted maps are.  A reduced edge composes the restricted
-    map of u with the full map of generator j.
+    Elements are keyed by their maps on one node per distinct row of
+    ``delta``: nodes p and q with equal rows are sent to the same node
+    by every letter, hence by every element (a letter followed by
+    something), so two elements are equal exactly when these restricted
+    maps are.  Every value of an element lies in the letters' image, so
+    values are stored as indices into it.  An image of at most 256
+    nodes makes each map a ``bytes`` object and each product one
+    ``bytes.translate`` with the generator's map on the image, padded
+    to 256 bytes, as table; a larger image keeps tuples and ``compose``.
     """
     letters = letter_transformations(gr)
-    elements: list[Transformation] = []
+    image = sorted(set().union(*letters))
+    code = {p: i for i, p in enumerate(image)}
+    if len(image) <= 256:
+        encode, step, pad = bytes, bytes.translate, bytes(256 - len(image))
+    else:
+        encode, step, pad = tuple, compose, ()
+    ids: dict = {}
     gen_letters: list[int] = []
     label_to_gen: list[int] = []
-    ids: dict[Transformation, int] = {}
     for a, tr in enumerate(zip(*dict.fromkeys(gr.delta))):
-        j = ids.get(tr)
-        if j is None:
-            j = len(elements)
-            ids[tr] = j
-            elements.append(tr)
+        j = ids.setdefault(encode(code[p] for p in tr), len(ids))
+        if j == len(gen_letters):
             gen_letters.append(a)
         label_to_gen.append(j)
-    g = len(elements)
-    gen_maps = [letters[a] for a in gen_letters]
-    first = list(range(g))
-    last = list(range(g))
-    prefix: list[int | None] = [None] * g
-    suffix: list[int | None] = [None] * g
+    tables = [encode(code[letters[a][p]] for p in image) + pad for a in gen_letters]
+    elements = list(ids)
     rows: list[list[int]] = []
-    left: list[list[int]] = []
-    start, stop = 0, g
-    while start < stop:  # the elements of one word length
-        for u in range(start, stop):
-            row: list[int] = []
-            rows.append(row)
-            b, s = first[u], suffix[u]
-            s_row = rows[s] if s is not None else None
-            for j, tr in enumerate(gen_maps):
-                if s_row is not None:
-                    r = s_row[j]
-                    p = prefix[r]
-                    if p != s or last[r] != j:  # s*j has a smaller word: look up b*r
-                        row.append(rows[b][r] if p is None
-                                   else rows[left[p][b]][last[r]])
-                        continue
-                nxt = compose(elements[u], tr)
-                z = ids.get(nxt)
-                if z is None:
-                    z = len(elements)
-                    ids[nxt] = z
-                    elements.append(nxt)
-                    first.append(b)
-                    last.append(j)
-                    prefix.append(u)
-                    suffix.append(j if s_row is None else s_row[j])
-                row.append(z)
-        for u in range(start, stop):
-            p, j = prefix[u], last[u]
-            left.append([rows[a][u] for a in range(g)] if p is None
-                        else [rows[x][j] for x in left[p]])
-        start, stop = stop, len(elements)
+    for m in elements:  # grows as products find new elements
+        row: list[int] = []
+        for table in tables:
+            nxt = step(m, table)
+            z = ids.setdefault(nxt, len(elements))
+            if z == len(elements):
+                elements.append(nxt)
+            row.append(z)
+        rows.append(row)
     return rows, label_to_gen, gen_letters
 
 

@@ -36,8 +36,11 @@ THRESHOLD_LOCAL_TESTABILITY = "threshold_local_testability"
 PIECEWISE_TESTABILITY = "piecewise_testability"
 ONE_TESTABILITY = "one_testability"
 
-LOCAL_PROPERTIES = (LOCAL_IDEMPOTENCE, LOCAL_TESTABILITY, STRICT_LOCAL_TESTABILITY,
-                    RIGHT_LOCAL_TESTABILITY, LEFT_LOCAL_TESTABILITY)
+# The eSe scans of ``check_local_property``.  strict_local_testability
+# is the same predicate as local_testability: PROPERTY_CHECKS reports
+# that verdict under its name, so it has no scan of its own.
+LOCAL_PROPERTIES = (LOCAL_IDEMPOTENCE, LOCAL_TESTABILITY, RIGHT_LOCAL_TESTABILITY,
+                    LEFT_LOCAL_TESTABILITY)
 
 
 def check_associativity(s: FiniteSemigroup) -> Verdict:
@@ -158,7 +161,7 @@ def check_local_property(s: FiniteSemigroup, prop: str) -> Verdict:
                 continue
             for y in sub:
                 xy = row_x[y]
-                if prop in (LOCAL_TESTABILITY, STRICT_LOCAL_TESTABILITY):
+                if prop == LOCAL_TESTABILITY:
                     if xy != s.row(y)[x]:
                         return Verdict(prop, NO, (e, x, y),
                                        f"e={e}: {x}*{y} != {y}*{x}")

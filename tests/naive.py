@@ -18,8 +18,8 @@ from itertools import product as iter_product
 
 from testability import NotGenerated, OracleResult
 
-LOCAL_PROPS = ("local_idempotence", "local_testability", "strict_local_testability",
-               "right_local_testability", "left_local_testability")
+LOCAL_PROPS = ("local_idempotence", "local_testability", "right_local_testability",
+               "left_local_testability")
 
 
 def closure_words(cayley):
@@ -187,7 +187,7 @@ def greedy_generating_subset(cayley):
 
 
 def check_local(table, prop):
-    """(verdict, witness) for one of the five local properties."""
+    """(verdict, witness) for one of the four local properties."""
     assert prop in LOCAL_PROPS
     n = len(table)
     for e in range(n):
@@ -202,7 +202,7 @@ def check_local(table, prop):
             for y in sub:
                 xy = table[x][y]
                 yx = table[y][x]
-                if prop in ("local_testability", "strict_local_testability"):
+                if prop == "local_testability":
                     if xy != yx:
                         return "no", (e, x, y)
                 elif prop == "right_local_testability":

@@ -26,6 +26,7 @@ from testability import (
     ONE_TESTABILITY,
     PIECEWISE_TESTABILITY,
     RIGHT_LOCAL_TESTABILITY,
+    STRICT_LOCAL_TESTABILITY,
     THRESHOLD_LOCAL_TESTABILITY,
     TransitionGraph,
     YES,
@@ -89,6 +90,8 @@ def naive_holds(table, g, prop):
         return naive.check_piecewise(table)[0]
     if prop == ONE_TESTABILITY:
         return naive.check_one_testable(table, g)[0]
+    if prop == STRICT_LOCAL_TESTABILITY:  # reported as the LT verdict, renamed
+        prop = LOCAL_TESTABILITY
     return naive.check_local(table, prop)[0]
 
 
@@ -543,3 +546,28 @@ def test_criterion_14_threshold_maximal_pairs(monkeypatch):
     assert elapsed < 3.0
     print(f"PASS criterion 14: LTT on the 255-element free semilattice answers "
           f"yes over {len(scanned)} class pairs in {elapsed:.2f}s < 3s")
+
+
+def test_criterion_15_closure_of_13517_elements():
+    # 200 nodes, three letters into a seeded 8-node core: 166 distinct
+    # rows and 13,517 elements.  Each element is keyed on one node per
+    # distinct row, coded as a byte string of indices into the letters'
+    # 8-node image, so the keys the closure holds stay small.
+    rng = random.Random("testability:capacity-graph-8-3")
+    core = rng.sample(range(200), 8)
+    gr = TransitionGraph(3, 200, tuple(tuple(rng.choice(core) for _ in range(3))
+                                       for _ in range(200)))
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        ts = transition_semigroup(gr)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(set(gr.delta)) == 166
+    assert ts.semigroup.element_count == 13_517
+    assert peak < 12e6, f"peak {peak / 1e6:.1f} MB"
+    assert elapsed < 5.0
+    print(f"PASS criterion 15: 13,517 elements of a 200-node graph closed at "
+          f"{peak / 1e6:.1f} MB traced peak < 12 MB in {elapsed:.2f}s < 5s")

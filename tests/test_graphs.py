@@ -163,22 +163,57 @@ def test_row_class_closure_matches_the_reference():
     assert merged >= 5
 
 
-def test_closure_composes_only_reduced_edges(monkeypatch):
-    """Products along words that are not the least word of their element
-    are looked up; a closure that composed every (element, generator)
-    pair would make elements x generators calls.  The seeded graph (2,650
-    elements) also has elements s with s*j = s*j' for an earlier j', where
-    the edge (s, j) is not reduced although s is the prefix of s*j."""
+def _image_graph(rng, size, partial):
+    """A seeded graph whose letters' image has ``size`` nodes, the sink
+    of a partial graph included: a random core of at most four nodes,
+    nodes that every letter fixes and nodes that no letter reaches,
+    shuffled together.  Its semigroup stays small, so the reference
+    closure stays cheap, while the coded values span the whole image."""
+    c, a = rng.randint(2, 4), rng.randint(1, 3)
+    cells = [[rng.randrange(c) for _ in range(a)] for _ in range(c)]
+    if partial:
+        cells[rng.randrange(c)][rng.randrange(a)] = -1
+    reached = sorted({q for row in cells for q in row if q >= 0})
+    fixed = size - len(reached) - partial
+    n = c + fixed + rng.randint(0, 30)
+    name = list(range(n))
+    rng.shuffle(name)
+    targets = reached + list(range(c, c + fixed))
+    rows = [()] * n
+    for i in range(n):
+        if i < c:
+            row = [-1 if q < 0 else name[q] for q in cells[i]]
+        elif i < c + fixed:
+            row = [name[i]] * a
+        else:
+            row = [name[rng.choice(targets)] for _ in range(a)]
+        rows[name[i]] = tuple(row)
+    return complete_with_sink(TransitionGraph(a, n, rows))
+
+
+def test_closure_codes_maps_on_the_letters_image(monkeypatch):
+    """Node maps are coded as indices into the letters' image: bytes up
+    to 256 image nodes, tuples above.  Both codings, the boundary and
+    sink-completed graphs must close as the reference does, and only an
+    image of more than 256 nodes composes tuples."""
     composed = []
     real = graphs.compose
     monkeypatch.setattr(graphs, "compose",
                         lambda first, then: composed.append(1) or real(first, then))
-    for gr, calls in ((FIX.D_ab, 9),
-                      (random_graph(seeded("froidure-pin-count"), 6, 3), 3199)):
+    rng = seeded("image-coding")
+    corpus = [(random_graph(seeded("froidure-pin-count"), 6, 3), 6)]  # 2,650 elements
+    corpus += [(_image_graph(rng, size, partial), size)
+               for size in (255, 256, 257, 300) for partial in (False, True)
+               for _ in range(2)]
+    for gr, size in corpus:
+        assert len(set().union(*letter_transformations(gr))) == size
         composed.clear()
-        sg = transition_semigroup(gr).semigroup
-        assert len(composed) == calls
-        assert calls < sg.element_count * sg.generator_count
+        ts = transition_semigroup(gr)
+        rows, _, words, label_to_gen, gen_letters = naive.transition_closure(gr)
+        assert ts.semigroup.cayley == rows, size
+        assert ts.semigroup.factorization == words, size
+        assert (ts.label_to_generator, ts.generator_letters) == (label_to_gen, gen_letters)
+        assert bool(composed) == (size > 256), size
 
 
 def test_node_components():

@@ -70,6 +70,10 @@ CORPUS = [FIX.U1, FIX.LZ2, FIX.Z2] + semigroup_zoo() + small_transformation_semi
 IDS = [f"{i}:n{s.element_count}g{s.generator_count}" for i, s in enumerate(CORPUS)]
 MEMBERS = list(range(len(CORPUS)))
 
+# The local properties a report can name: the four eSe scans, and
+# strict local testability, reported as the local testability verdict.
+REPORTED_LOCAL = LOCAL_PROPERTIES + (STRICT_LOCAL_TESTABILITY,)
+
 
 @lru_cache(maxsize=None)
 def table_of(i: int):
@@ -259,8 +263,9 @@ def test_local_property_examples():
         assert check_local_property(FIX.U1, prop).holds == "yes"
         assert check_local_property(FIX.LZ2, prop).holds == "yes"
         assert check_local_property(FIX.Z2, prop).holds == "no"
-    with pytest.raises(ValueError):
-        check_local_property(FIX.U1, "aperiodicity")
+    for prop in ("aperiodicity", STRICT_LOCAL_TESTABILITY):
+        with pytest.raises(ValueError):
+            check_local_property(FIX.U1, prop)
 
 
 def test_aperiodicity_examples():
@@ -405,12 +410,13 @@ def test_product_table_matches_naive(i):
     assert [list(row) for row in s.product] == table_of(i)
 
 
-@pytest.mark.parametrize("prop", LOCAL_PROPERTIES)
+@pytest.mark.parametrize("prop", REPORTED_LOCAL)
 @pytest.mark.parametrize("i", MEMBERS, ids=IDS)
 def test_local_checks_agree_with_naive(i, prop):
-    v = check_local_property(CORPUS[i], prop)
-    holds, witness = naive.check_local(table_of(i), prop)
-    assert (v.holds, v.witness) == (holds, witness)
+    v = PROPERTY_CHECKS[prop](CORPUS[i])
+    scanned = LOCAL_TESTABILITY if prop == STRICT_LOCAL_TESTABILITY else prop
+    holds, witness = naive.check_local(table_of(i), scanned)
+    assert (v.property, v.holds, v.witness) == (prop, holds, witness)
 
 
 @pytest.mark.parametrize("i", MEMBERS, ids=IDS)
@@ -628,7 +634,7 @@ def _violates(table, prop, witness):
     if prop == "aperiodicity":
         (x,) = witness
         return naive.check_aperiodic(table)[0] == "no" and _period_of(table, x) > 1
-    if prop in LOCAL_PROPERTIES:
+    if prop in REPORTED_LOCAL:
         e = witness[0]
         sub = sorted({table[table[e][z]][e] for z in range(len(table))})
         if len(witness) == 2:
