@@ -222,10 +222,11 @@ def is_threshold_locally_testable(s: FiniteSemigroup) -> Verdict:
     the answer is "yes".
 
     Otherwise every pair of representatives is scanned in ascending
-    order.  The least (e, f) of a class pair is the pair of its least
-    members, so the first one that fails is the least failing (e, f);
-    only it is rescanned over all u in S for the lexicographically
-    least (e, f, x, u, y).
+    order, reusing the verdicts of the maximal pairs already scanned.
+    The least (e, f) of a class pair is the pair of its least members,
+    so the first one that fails is the least failing (e, f); only it is
+    rescanned over all u in S for the lexicographically least
+    (e, f, x, u, y).
     """
     aperiodic = _check(s, APERIODICITY)
     if aperiodic.holds == NO:
@@ -240,10 +241,16 @@ def is_threshold_locally_testable(s: FiniteSemigroup) -> Verdict:
             l_reps.append(e)
     r_top = [e for e in r_reps if all(d == e or prod(d, e) != e for d in r_reps)]
     l_top = [f for f in l_reps if all(d == f or prod(f, d) != f for d in l_reps)]
-    if all(_sandwich_identity_holds(s, e, f) for e in r_top for f in l_top):
+    known: dict[tuple[int, int], bool] = {}
+
+    def holds(e: int, f: int) -> bool:
+        if (e, f) not in known:
+            known[e, f] = _sandwich_identity_holds(s, e, f)
+        return known[e, f]
+
+    if all(holds(e, f) for e in r_top for f in l_top):
         return Verdict(THRESHOLD_LOCAL_TESTABILITY, YES)
-    e, f = next((e, f) for e in r_reps for f in l_reps
-                if not _sandwich_identity_holds(s, e, f))
+    e, f = next((e, f) for e in r_reps for f in l_reps if not holds(e, f))
     return _least_sandwich_witness(s, e, f)
 
 

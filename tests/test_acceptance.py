@@ -571,3 +571,22 @@ def test_criterion_15_closure_of_13517_elements():
     assert elapsed < 5.0
     print(f"PASS criterion 15: 13,517 elements of a 200-node graph closed at "
           f"{peak / 1e6:.1f} MB traced peak < 12 MB in {elapsed:.2f}s < 5s")
+
+
+def test_criterion_16_dense_profile_bags():
+    # A constant fold over two letters at k = 5: no two words differ, so
+    # the search runs to its budget.  Its 2**5 factor counts fit one
+    # integer of one bit per factor, so the bags are never interned.
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        res = profile_determines(0, lambda value, letter: value, 2, 5, budget=200_000)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.status, res.witness, res.states) == ("unknown", None, 200_000)
+    assert peak < 60e6, f"peak {peak / 1e6:.1f} MB"
+    assert elapsed < 60.0
+    print(f"PASS criterion 16: two-letter k=5 search to 200,000 states at "
+          f"{peak / 1e6:.1f} MB traced peak < 60 MB in {elapsed:.2f}s < 60s")

@@ -14,7 +14,7 @@ from testability import (
     complete_with_sink,
     profile_determines,
 )
-from testability import graphs, semigroups
+from testability import graphs, oracle, semigroups
 from tests import naive
 from tests.corpus import (fixtures, random_graph, random_partial_graph, seeded,
                           semigroup_zoo, small_transformation_semigroups)
@@ -326,6 +326,60 @@ def test_search_equals_the_kprofile_reference():
     assert seen == {"k": {1, 2, 3, 4, 6}, "t": {1, 2, 3},
                     "budget": set(REFERENCE_BUDGETS) | wide_budgets,
                     "status": {"yes", "no", "unknown"}}
+
+
+def test_both_bag_encodings_equal_the_reference(monkeypatch):
+    """Dense bags (the capped counts in one integer) and interned bags
+    must each reproduce the reference search over the whole corpus."""
+    for (initial, step), a, k, t, budget in _reference_corpus():
+        ref = naive.profile_search(initial, step, a, k, t, budget)
+        for bound in (0, 10**9):
+            monkeypatch.setattr(oracle, "DENSE_BAG_BITS", bound)
+            assert profile_determines(initial, step, a, k, t, budget) == ref, (bound, k, t)
+
+
+def _capped_zero_runs(k, cap):
+    """The fold counting the factors 0**k of a word, capped at ``cap``:
+    its profile at window k and threshold t settles it when cap <= t."""
+    def step(value, letter):
+        run, count = value    # run: the trailing zeros, up to k - 1
+        if letter:
+            return 0, count
+        return min(run + 1, k - 1), min(count + (run == k - 1), cap)
+    return (0, 0), step
+
+
+# (A, k, t): t = 1, 2 and 3 (slots of 1, 2 and 2 bits), k = 1 on each
+# alphabet size, and words of up to 3 letters too short for a k-factor.
+BOUND_CASES = ((1, 1, 1), (2, 1, 2), (3, 1, 3), (2, 2, 1), (1, 4, 2), (2, 3, 3),
+               (3, 2, 2), (2, 4, 1))
+
+
+@pytest.mark.parametrize("a, k, t", BOUND_CASES)
+def test_bag_encodings_meet_at_the_bound(monkeypatch, a, k, t):
+    """Bags are dense while A**k slots of t.bit_length() bits fit the
+    bound and interned one bit past it; both searches equal the
+    reference on folds that saturate at t, count past t, or read the
+    first letter."""
+    bits = a ** k * t.bit_length()
+    folds = (_capped_zero_runs(k, t), _capped_zero_runs(k, t + 1), _first_letter_parity(a))
+    statuses = set()
+    for (initial, step), budget in zip(folds * 2, (50,) * 3 + (3000,) * 3):
+        ref = naive.profile_search(initial, step, a, k, t, budget)
+        statuses.add(ref.status)
+        for bound, width in ((bits, t.bit_length()), (bits - 1, 0)):
+            monkeypatch.setattr(oracle, "DENSE_BAG_BITS", bound)
+            assert oracle._slot_width(a, k, t) == width
+            assert profile_determines(initial, step, a, k, t, budget) == ref, (bound, budget)
+    assert "no" in statuses
+
+
+# The README's table of profile states for a fold that never tells two
+# words apart, at the default threshold and budget: the rows that settle.
+@pytest.mark.parametrize("a, k, states", [(2, 4, 74_461), (3, 2, 1_615), (4, 2, 442_393)])
+def test_readme_budget_table(a, k, states):
+    res = profile_determines(0, lambda value, letter: value, a, k)
+    assert (res.status, res.witness, res.states) == ("yes", None, states)
 
 
 # Peak traced memory of the search below, 2-core host, Python 3.11:
