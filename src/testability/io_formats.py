@@ -12,7 +12,7 @@ error.  Extra integers after the table are ignored.
 from __future__ import annotations
 
 import re
-from itertools import islice, takewhile
+from itertools import chain, islice, takewhile
 from operator import itemgetter
 
 from .model import (NO, UNKNOWN, FiniteSemigroup, NotAssociative, PropertyReport,
@@ -59,24 +59,58 @@ class CellOutOfRange(ParseError):
 _TOKEN = re.compile(r"(?<!\S)(?:(-?\d+)(?!\S)|\S*\d\S*)")
 
 
+def _pieces(text: str, size: int = 1 << 10):
+    """``text`` cut at spaces into pieces of about ``size`` characters,
+    which split into the text's tokens one piece at a time."""
+    start = 0
+    while start < len(text):
+        end = text.find(" ", start + size)
+        if end < 0:
+            end = len(text)
+        yield text[start:end]
+        start = end
+
+
+def _split_values(text: str):
+    """A text's values, converted by ``int`` as taken from its split
+    tokens; None if it holds ``+`` or ``_``, which ``int`` accepts and
+    ``_TOKEN`` does not.  On any other token that ``_TOKEN`` does not
+    read as an integer (a comment, a malformed token) ``int`` raises
+    ValueError, as it does past its digit limit."""
+    if "+" in text or "_" in text:
+        return None
+    return map(int, chain.from_iterable(map(str.split, _pieces(text))))
+
+
+def _regex_values(text: str):
+    """The values of a text's numeric tokens before the first malformed
+    one, from one lazy ``_TOKEN`` pass."""
+    return map(int, takewhile(bool, map(itemgetter(1), _TOKEN.finditer(text))))
+
+
 class _Numbers:
     """The numeric tokens of a text, handed out front to back.
 
-    One lazy regex pass finds them, and values are converted as they are
-    taken, all at C level; a token's (line, column) is worked out only
-    for an error.
+    The C-level ``_split_values`` reads them while every token is an
+    integer; from the first one it cannot read, the regex, the
+    definition of a token, reads on.  A token's (line, column) is worked
+    out only for an error.
     """
 
     def __init__(self, text: str):
         self.text = text
-        self._ints = map(itemgetter(1), _TOKEN.finditer(text))
+        self._values = _split_values(text) or _regex_values(text)
         self.taken = 0
 
     def take(self, count: int) -> list[int]:
         """The next ``count`` values.  Fewer means a malformed token or
         the end of the text came first; the caller then ends the parse
         through ``missing``, which says which."""
-        values = list(map(int, islice(takewhile(bool, self._ints), count)))
+        try:
+            values = list(islice(self._values, count))
+        except ValueError:
+            self._values = islice(_regex_values(self.text), self.taken, None)
+            values = list(islice(self._values, count))
         self.taken += len(values)
         return values
 
@@ -157,16 +191,19 @@ def parse_semigroup(text: str) -> FiniteSemigroup:
     return s
 
 
+def _write_table(header: str, rows) -> str:
+    """The header line, then the rows, every cell through ``str`` once."""
+    cells = map(str, chain.from_iterable(rows))
+    lines = map(" ".join, zip(*[cells] * len(rows[0])))
+    return "\n".join(chain((header,), lines)) + "\n"
+
+
 def write_graph(gr: TransitionGraph) -> str:
-    lines = [f"{gr.alphabet_size} {gr.node_count}"]
-    lines += [" ".join(str(c) for c in row) for row in gr.delta]
-    return "\n".join(lines) + "\n"
+    return _write_table(f"{gr.alphabet_size} {gr.node_count}", gr.delta)
 
 
 def write_semigroup(s: FiniteSemigroup) -> str:
-    lines = [f"{s.element_count} {s.generator_count}"]
-    lines += [" ".join(str(c) for c in row) for row in s.cayley]
-    return "\n".join(lines) + "\n"
+    return _write_table(f"{s.element_count} {s.generator_count}", s.cayley)
 
 
 def _witness_str(witness: tuple) -> str:

@@ -6,13 +6,23 @@ from __future__ import annotations
 def strongly_connected_components(succ) -> list[list[int]]:
     """SCCs of a digraph given as a sequence of successor iterables.
 
+    Each component is sorted; components are ordered by their least
+    member, which makes downstream witness choices deterministic.
+    """
+    components = [sorted(comp) for comp in _emission_order(succ)]
+    components.sort(key=lambda c: c[0])
+    return components
+
+
+def _emission_order(succ) -> list[list[int]]:
+    """SCCs in the order Tarjan's walk completes them, members unsorted:
+    a component comes after every component it has an edge into.
+
     Iterative so that graphs with long chains do not hit the recursion
     limit: each vertex on the work stack carries an iterator over its
     edges.  Index 0 marks a vertex not yet visited, and n + 1 one already
     in a component: no low-link reaches n + 1, so an edge into a finished
-    component never lowers one.  Each component is sorted; components
-    are ordered by their least member, which makes downstream witness
-    choices deterministic.
+    component never lowers one.
     """
     n = len(succ)
     index = [0] * n
@@ -53,8 +63,5 @@ def strongly_connected_components(succ) -> list[list[int]]:
                         comp.append(w)
                         if w == v:
                             break
-                    comp.sort()
                     components.append(comp)
-
-    components.sort(key=lambda c: c[0])
     return components

@@ -167,10 +167,32 @@ def submagma(cayley, kept):
         elements |= new
 
 
+def generator_depths(cayley):
+    """The depth of each generator's group of ``components`` in the right
+    Cayley graph x -> x*j: the number of groups on the longest chain of
+    groups above it, so a group nothing else reaches has depth 0."""
+    groups = components(cayley)
+    group = {v: i for i, members in enumerate(groups) for v in members}
+    above = [set() for _ in groups]
+    for x, row in enumerate(cayley):
+        for y in row:
+            if group[y] != group[x]:
+                above[group[y]].add(group[x])
+    depth = {}
+
+    def longest_chain(g):
+        if g not in depth:
+            depth[g] = max((longest_chain(h) + 1 for h in above[g]), default=0)
+        return depth[g]
+
+    return [longest_chain(group[j]) for j in range(len(cayley[0]))]
+
+
 def greedy_generating_subset(cayley):
-    """Generators kept greedily, ascending: j is kept unless it is in the
-    right-reach of the kept ones under the kept columns, recomputed from
-    scratch for each j.  Returns the kept list and its final reach."""
+    """Generators kept greedily, walked by ``generator_depths``, ties by
+    index: j is kept unless it is in the right-reach of the kept ones
+    under the kept columns, recomputed from scratch for each j.  Returns
+    the kept list, ascending, and its final reach."""
     def right_reach(kept):
         reach = set(kept)
         while True:
@@ -179,11 +201,12 @@ def greedy_generating_subset(cayley):
                 return reach
             reach |= new
 
+    depths = generator_depths(cayley)
     kept = []
-    for j in range(len(cayley[0])):
+    for j in sorted(range(len(cayley[0])), key=lambda j: (depths[j], j)):
         if j not in right_reach(kept):
             kept.append(j)
-    return kept, right_reach(kept)
+    return sorted(kept), right_reach(kept)
 
 
 def check_local(table, prop):
@@ -295,20 +318,23 @@ def two_sided_ideal(table, x):
     return frozenset(out)
 
 
+def reachable(succ, v):
+    """The vertices a path from v reaches, v included, breadth-first."""
+    seen = {v}
+    queue = [v]
+    for x in queue:
+        for w in succ[x]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
 def components(succ):
     """Vertices grouped by mutual reachability, from one breadth-first
     search per vertex: each group ascending, the groups ordered by least
     member."""
-    reach = []
-    for v in range(len(succ)):
-        seen = {v}
-        queue = [v]
-        for x in queue:
-            for w in succ[x]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        reach.append(seen)
+    reach = [reachable(succ, v) for v in range(len(succ))]
     groups = {}
     for v, seen in enumerate(reach):
         least = min(w for w in seen if v in reach[w])

@@ -510,21 +510,28 @@ def test_criterion_12_threshold_memory_catalan_9():
           f"{peak / 1e6:.1f} MB peak < 8 MB")
 
 
-def test_criterion_13_lights_test_on_all_generator_table():
+def test_criterion_13_lights_test_on_all_generator_table(monkeypatch):
     # 1,280 elements, every one a generator: an 8x8 rectangular band
     # times a 20-element chain.  Light's test runs over the generators
-    # kept greedily because the ones kept before them do not reach
-    # them (300 here, not 1,280), and the table is associative, so the
-    # scan over those columns runs to the end.
+    # kept greedily, walked by the depth of their component in the
+    # right Cayley graph, because the ones kept before them do not
+    # reach them (34 here, not 1,280; index order kept 300), and the
+    # table is associative, so the scan over those columns runs to the
+    # end.
     s = semigroup_direct_product(rectangular_band(8, 8), min_chain(20))
     assert s.element_count == s.generator_count == 1280
+    scans = []
+    scan = semigroups._lights_scan
+    monkeypatch.setattr(semigroups, "_lights_scan",
+                        lambda s, columns: scans.append(list(columns)) or scan(s, columns))
     t0 = time.perf_counter()
     v = check_associativity(s)
     elapsed = time.perf_counter() - t0
     assert v.holds == YES
-    assert elapsed < 30.0
-    print(f"PASS criterion 13: Light's test on n = g = 1,280 answers yes in "
-          f"{elapsed:.1f}s < 30s")
+    assert len(scans) == 1 and len(scans[0]) <= 40
+    assert elapsed < 10.0
+    print(f"PASS criterion 13: Light's test on n = g = 1,280 answers yes over "
+          f"{len(scans[0])} generators in {elapsed:.1f}s < 10s")
 
 
 def test_criterion_14_threshold_maximal_pairs(monkeypatch):

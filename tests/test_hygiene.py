@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never
 uses, anything from the tests or the benchmark, or anything outside the
-standard library, and no function assigns a local it never reads; the
+standard library, directly or at run time, and no function assigns a local it never reads; the
 public surface is exactly what ``__init__`` imports; every name the
 benchmark's tracer wraps still exists; the README's Library section
 names only what the package exports."""
@@ -8,7 +8,9 @@ names only what the package exports."""
 import ast
 import dataclasses
 import keyword
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -67,6 +69,22 @@ def test_package_imports_only_the_standard_library(path):
     foreign = sorted(m for m in _imported_modules(tree)
                      if m.split(".")[0] not in sys.stdlib_module_names)
     assert foreign == [], f"{path.name} imports {foreign}"
+
+
+def test_package_loads_only_the_standard_library():
+    """Every module that importing the package and its command line
+    loads, directly or through another module, is in the standard
+    library or is the package itself, which holds ``dependencies = []``
+    in pyproject.toml to the code."""
+    code = ("import sys; before = set(sys.modules); import testability.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert "testability.cli" in loaded
+    foreign = sorted(m for m in loaded if m.split(".")[0] not in
+                     sys.stdlib_module_names | {"testability"})
+    assert foreign == []
 
 
 def _own_nodes(fn):

@@ -1,5 +1,7 @@
 """Parsing, writing, and report rendering for the text matrix formats."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,8 +24,10 @@ from testability import (
     write_graph,
     write_semigroup,
 )
+from testability import io_formats
 from testability.model import PropertyReport
-from tests.corpus import fixtures
+from tests.corpus import (fixtures, random_graph, seeded, semigroup_zoo,
+                          small_transformation_semigroups)
 
 FIX = fixtures()
 
@@ -176,6 +180,99 @@ def test_parsed_semigroups_always_pass_lights_test(args):
     except (NotGenerated, NotAssociative):
         return
     assert check_associativity(s).holds == "yes"
+
+
+_NON_ASCII_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+_SPACES = (" ", " ", " ", "\n", "\t", "\u00a0", "\u2003")
+_COMMENTS = ("#", "abc", "-", "--", "é", "x;")
+_FUZZ_SEMIGROUPS = [FIX.U1, FIX.LZ2, FIX.Z2] + [
+    s for s in semigroup_zoo() + small_transformation_semigroups() if s.element_count <= 12]
+
+
+def _respelled(v: int, rng) -> str:
+    """A spelling of v: the first four read as v by every route, ``int``
+    takes the next two and the regex does not, and the rest are
+    malformed tokens for both."""
+    text = str(v)
+    sign, digits = ("-", text[1:]) if v < 0 else ("", text)
+    return rng.choice([
+        text,
+        "-0" if v == 0 else text,
+        sign + "00" + digits,
+        text.translate(_NON_ASCII_DIGITS),
+        "+" + text,
+        sign + digits[:1] + "_" + digits[1:] if len(digits) > 1 else "1_" + digits,
+        "1e3",
+        "0x1",
+        text + "a",
+    ])
+
+
+def _fuzzed_stream(rng):
+    """(parser, text): a small graph or semigroup file whose numbers are
+    respelled, commented, cut short, pushed out of range, too long for
+    ``int`` or followed by extra tokens, at random."""
+    if rng.random() < 0.5:
+        parse = parse_graph
+        a, g = rng.randint(1, 3), rng.randint(1, 4)
+        cells = [c for row in random_graph(rng, g, a).delta for c in row]
+        values = [a, g] + [-1 if rng.random() < 0.1 else c for c in cells]
+    else:
+        parse = parse_semigroup
+        s = rng.choice(_FUZZ_SEMIGROUPS)
+        values = [s.element_count, s.generator_count] + [c for row in s.cayley for c in row]
+    if rng.random() < 0.2:
+        values[rng.randrange(len(values))] = rng.choice((-2, 9, 1000))
+    if rng.random() < 0.2:
+        del values[rng.randrange(len(values)):]
+    rate = rng.choice((0, 0.1, 0.3))
+    tokens = [_respelled(v, rng) if rng.random() < rate else str(v) for v in values]
+    if tokens and rng.random() < 0.02:  # past the digit limit of int()
+        tokens[rng.randrange(len(tokens))] = "9" * 5000
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        tokens.insert(rng.randint(0, len(tokens)), rng.choice(_COMMENTS))
+    if rng.random() < 0.2:
+        tokens.append(rng.choice(("99", "+1", "1_0", "1e3", "abc")))
+    return parse, "".join(t + rng.choice(_SPACES) for t in tokens)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ValueError, NotGenerated, NotAssociative) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+def test_split_pass_reads_what_the_regex_reads(monkeypatch):
+    """Seeded fuzz: both parsers give the same value through the C-level
+    split pass as through the regex alone, or raise the same exception
+    class with the same message, line and column."""
+    rng = seeded("tokenizer")
+    cases = Counter()
+    for _ in range(3000):
+        parse, text = _fuzzed_stream(rng)
+        fast = _outcome(parse, text)
+        with monkeypatch.context() as m:
+            m.setattr(io_formats, "_split_values", lambda text: None)
+            assert _outcome(parse, text) == fast, text
+        cases[io_formats._split_values(text) is not None, isinstance(fast, tuple)] += 1
+    assert len(cases) == 4, cases
+
+
+def test_pieces_split_into_the_tokens_of_the_whole_text():
+    """Cut at spaces, the pieces of a text split into its tokens, at any
+    piece size, whatever whitespace the text mixes."""
+    rng = seeded("pieces")
+    for _ in range(200):
+        text = "".join(rng.choice(("7", "-12", "x", "٣")) + rng.choice(_SPACES) * rng.randint(1, 2)
+                       for _ in range(rng.randint(0, 30)))
+        for size in range(1, 12):
+            pieces = list(io_formats._pieces(text, size))
+            assert "".join(pieces) == text
+            assert [t for p in pieces for t in p.split()] == text.split()
+    big = write_graph(random_graph(seeded("pieces-graph"), 3000, 3))
+    assert len(list(io_formats._pieces(big))) > 2
+    assert [t for p in io_formats._pieces(big) for t in p.split()] == big.split()
 
 
 def test_text_rendering_of_witnesses():

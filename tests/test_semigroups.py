@@ -193,32 +193,60 @@ def test_lights_subset_route_agrees_with_full_scan():
     assert len(cases) == 3, cases
 
 
-def test_generating_subset_is_the_greedy_reference():
-    """``_generating_subset`` keeps what the from-scratch greedy reference
-    keeps, or is None exactly when that reach misses an element, on the
-    tables of the subset-route cross-check above (same seed, same draws).
-    The kept list decides what Light's test costs, so any change to it
-    shows here."""
+def _subset_route_tables():
+    """The tables of the subset-route cross-check above (same seed, same
+    draws): the corpus, products of its members and copies with one to
+    three cells changed."""
     rng = seeded("lights-subset")
     tables = list(CORPUS)
     while len(tables) < len(CORPUS) + 12:
         a, b = rng.sample(CORPUS, 2)
         if a.element_count * b.element_count <= 40:
             tables.append(semigroup_direct_product(a, b))
-    cases = Counter()
     for s in tables:
         for _ in range(8):
             m = s
             for _ in range(rng.randint(0, 3)):
                 if m is not None:
                     m = _mutated(m, rng)
-            if m is None:
-                continue
-            kept, reach = naive.greedy_generating_subset(m.cayley)
-            complete = len(reach) == m.element_count
-            assert semigroups._generating_subset(m) == (kept if complete else None)
-            cases[complete] += 1
+            if m is not None:
+                yield m
+
+
+def test_generating_subset_is_the_greedy_reference():
+    """``_generating_subset`` keeps what the from-scratch greedy reference
+    keeps, walking the generators by the depth of their component, or
+    is None exactly when that reach misses an element.  The kept list
+    decides what Light's test costs, so any change to it shows here."""
+    cases = Counter()
+    for m in _subset_route_tables():
+        kept, reach = naive.greedy_generating_subset(m.cayley)
+        complete = len(reach) == m.element_count
+        assert semigroups._generating_subset(m) == (kept if complete else None)
+        cases[complete] += 1
     assert len(cases) == 2, cases
+
+
+def test_generator_order_extends_right_reachability():
+    """If generator j reaches j' in the right Cayley graph and j' does not
+    reach j, then j comes first in the order ``_generating_subset``
+    walks; generators with equal depth keep index order."""
+    tables = list(_subset_route_tables())
+    tables += [semigroup_direct_product(rectangular_band(p, q), min_chain(c))
+               for p, q, c in ((2, 3, 4), (3, 3, 5))]
+    pairs = 0
+    for m in tables:
+        order = semigroups._generator_order(m)
+        depths = naive.generator_depths(m.cayley)
+        assert order == sorted(range(m.generator_count), key=lambda j: (depths[j], j))
+        place = {j: i for i, j in enumerate(order)}
+        reach = [naive.reachable(m.cayley, j) for j in range(m.generator_count)]
+        for j in range(m.generator_count):
+            for k in range(m.generator_count):
+                if k in reach[j] and j not in reach[k]:
+                    assert place[j] < place[k], (j, k)
+                    pairs += 1
+    assert pairs >= 100, pairs
 
 
 def test_lights_test_on_criterion_8_table_scans_few_generators(monkeypatch):
