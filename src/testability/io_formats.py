@@ -72,14 +72,28 @@ def _pieces(text: str, size: int = 1 << 10):
 
 
 def _split_values(text: str):
-    """A text's values, converted by ``int`` as taken from its split
-    tokens; None if it holds ``+`` or ``_``, which ``int`` accepts and
-    ``_TOKEN`` does not.  On any other token that ``_TOKEN`` does not
-    read as an integer (a comment, a malformed token) ``int`` raises
-    ValueError, as it does past its digit limit."""
+    """A text's values, converted by ``int`` from its split tokens a
+    piece at a time; None if it holds ``+`` or ``_``, which ``int``
+    accepts and ``_TOKEN`` does not.
+
+    A piece that ``int`` cannot read whole (it holds a comment, a
+    malformed token or a value past ``int``'s digit limit) is read by
+    ``_regex_values`` instead.  The pieces after it go back to the split
+    pass, unless a malformed token ended the values there.
+    """
     if "+" in text or "_" in text:
         return None
-    return map(int, chain.from_iterable(map(str.split, _pieces(text))))
+    return chain.from_iterable(_piece_values(text))
+
+
+def _piece_values(text: str):
+    for piece in _pieces(text):
+        try:
+            yield list(map(int, piece.split()))
+        except ValueError:
+            yield _regex_values(piece)
+            if not all(map(itemgetter(1), _TOKEN.finditer(piece))):
+                return    # a malformed token ends the values
 
 
 def _regex_values(text: str):
@@ -91,10 +105,10 @@ def _regex_values(text: str):
 class _Numbers:
     """The numeric tokens of a text, handed out front to back.
 
-    The C-level ``_split_values`` reads them while every token is an
-    integer; from the first one it cannot read, the regex, the
-    definition of a token, reads on.  A token's (line, column) is worked
-    out only for an error.
+    The C-level ``_split_values`` reads them piece by piece, and the
+    regex, the definition of a token, reads only the pieces that
+    ``int`` cannot.  A token's (line, column) is worked out only for an
+    error.
     """
 
     def __init__(self, text: str):
@@ -106,11 +120,7 @@ class _Numbers:
         """The next ``count`` values.  Fewer means a malformed token or
         the end of the text came first; the caller then ends the parse
         through ``missing``, which says which."""
-        try:
-            values = list(islice(self._values, count))
-        except ValueError:
-            self._values = islice(_regex_values(self.text), self.taken, None)
-            values = list(islice(self._values, count))
+        values = list(islice(self._values, count))
         self.taken += len(values)
         return values
 

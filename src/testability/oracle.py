@@ -10,56 +10,69 @@ decides that by a breadth-first search over the profiles reachable
 letter by letter, each paired with the value its first word folds to.
 
 The search keys a profile by one integer.  Over A letters a word is
-read as a base-A number, and ``span`` = A**(k-1) is the number of codes
-of k - 1 letters.  Every word has the key
-``(bag * span + prefix) * span + suffix``:
+read as a base-A number, ``span`` = A**(k-1) is the number of codes of
+k - 1 letters, and ``sbits`` = (span - 1).bit_length() bits hold one
+such code.  A word of k - 1 letters or more has the key
+``bag << 2 * sbits | prefix << sbits | suffix``: the codes of its first
+and last k - 1 letters as prefix and suffix, and its saturated factor
+counts (counts capped at t) as bag, in one of the two encodings below.
+In both, bag k - 1 is the empty bag, which only the (k - 1)-letter
+words hold, and every other bag is larger.  No word shorter than k
+shares its profile with another word, so the search builds those words
+a whole level at a time, in code order, and never looks them up; the
+ones shorter than k - 1 letters get no key at all.
 
-- a word of L <= k - 1 letters has no k-factor.  Its bag is L, its
-  suffix the code of the whole word and its prefix the code of the
-  word without its last letter (never read).  The empty word is key 0;
-- a longer word has the codes of its first and last k - 1 letters as
-  prefix and suffix, and its saturated factor counts (counts capped at
-  t) as bag, in one of the two encodings below.  In both, bag k - 1 is
-  the empty bag, shared with the (k - 1)-letter words, and every other
-  bag is at least k.
-
-Appending a letter adds the factor ``suffix * A + letter``: it counts
-one more letter while the bag is below k - 1 and goes into the counts
-from then on.  The bag encoding depends on A, k and t alone:
+Appending a letter adds the factor ``suffix * A + letter``: the prefix
+stays, the suffix becomes the factor's last k - 1 letters, and the bag
+counts the factor.  So the move a key takes by a letter depends on its
+suffix field (and, for an interned bag, its bag field) alone.  A move
+is (slot, full, unit, shift, letter), and the key goes to
+``(key if key & slot == full else key + unit) + shift``.  The bag
+encoding depends on A, k and t alone:
 
 - dense, when A**k slots of ``width`` = t.bit_length() bits fit in
   ``DENSE_BAG_BITS``: the bag is one integer whose slot at bit
   ``low + code * width`` holds the count of that factor code, with
   k - 1 in the ``low`` = (k - 1).bit_length() bits under the slots.
-  A step reads the slot with a shift and a mask and, below t, adds one
-  to it; nothing is interned.
+  A move's slot is the factor's slot, full is t in it, unit is a one
+  in it and shift the change of suffix.  The A**k moves, at most
+  ``DENSE_BAG_BITS`` of them, form a table indexed by suffix; nothing
+  is interned.
 - interned, past the bound: the bag is the id of a sorted tuple of
-  (factor code, count) pairs, ids from k on.  A memo maps (bag id,
-  factor code) to the id of the grown bag, so a step costs two dict
-  lookups and a bag is rebuilt only on a memo miss.  Such a bag holds
-  one pair per distinct factor of its word, so memory per state is
-  bounded by the word, not by A**k.
+  (factor code, count) pairs, ids from k on.  A state's moves are
+  built from its bag and suffix fields when it is expanded (a memo of
+  them was hit by under 2% of the states it was tried on): slot and
+  full are 0, and shift carries the change of bag id as well as of
+  suffix.  A grown bag is a copy of the tuple with one pair inserted or
+  counted up, found by bisection, and shares its other pairs.  Such a
+  bag holds one pair per distinct factor of its word, so memory per
+  state is bounded by the word, not by A**k.
 
 A dense key spends A**k * width bits however short its word is.  For a
 constant fold, t = 1 and a budget of 100,000 states (2-core host,
-Python 3.11), dense bags took 0.21-0.26 s against 0.54-0.82 s interned
-from 256 to 2,187 bits, and 0.44 s against 0.43 s at 6,561 bits;
-their traced peaks were 20-38 MB against 65-85 MB up to 2,187 bits,
-54 against 60 MB at 4,096 and 73 against 59 MB at 6,561.  The bound,
-1,024 bits, stays well below both crossovers, and keeps the 26-letter
-k = 3 search (17,576 factor codes) interned.  Two keys are equal
-exactly when the two words have equal k-profiles.
+Python 3.11, best of two runs of three), dense bags took 0.06-0.09 s
+against 0.21-0.25 s interned from 256 to 2,187 bits, 0.16 against
+0.27 s at 4,096 bits and 0.22 against 0.21 s at 6,561; their traced
+peaks were 18-25 MB against 36-39 MB up to 1,024 bits, 36 against
+38 MB at 2,187, 56 against 38 MB at 4,096 and 80 against 38 MB at
+6,561.  The bound, 1,024 bits, stays below both crossovers, and keeps
+the 26-letter k = 3 search (17,576 factor codes) interned.  Two keys
+are equal exactly when the two words have equal k-profiles.
 
-A fold here is any pair (initial value, step function) over hashable
-values.  The package folds both graph words and generator words over a
-letter table cut from a semigroup's Cayley rows, whose last row is an
-identity adjoined for the empty word (``semigroups._cayley_fold``); the
-tests also use node maps composed letter by letter.
+A fold here is an initial value and a table of rows over hashable
+values: from value v, letter a leads to ``rows[v][a]``.  The package
+folds both graph words and generator words over a letter table cut
+from a semigroup's Cayley rows, whose last row is an identity adjoined
+for the empty word (``semigroups._cayley_fold``).  A step function
+(v, a) -> value may stand in for the rows; the search then calls it
+for every letter at every state.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 from .model import BadK
 
@@ -89,26 +102,38 @@ class OracleResult:
     states: int
 
 
-def profile_determines(initial, step, alphabet_size: int, k: int, t: int = 1,
+class _Lookup:
+    """``lookup[key]`` is ``build(key)``, computed afresh on every read.
+
+    It stands in for a table where the search reads one by subscript,
+    which on a list is faster than any call."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __getitem__(self, key):
+        return self.build(key)
+
+
+def profile_determines(initial, rows, alphabet_size: int, k: int, t: int = 1,
                        budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Does the k-profile of a word determine its folded value?
+
+    The fold starts at ``initial``, and letter a leads from value v to
+    ``rows[v][a]``; ``rows`` may also be a step function (v, a) -> value.
 
     Runs a breadth-first closure of (profile, value) pairs.  Profiles
     are numbered in discovery order, so the queue is a walk over those
     ids; state 0 is the empty word.  Until a conflict is seen each
-    profile carries exactly one value, so the profile id doubles as the
-    pair key; the first conflicting step, in BFS order with letters
-    ascending, yields a deterministic shortest-first witness pair
-    reconstructed through parent links.  Reaching ``budget`` states
-    before the search settles gives "unknown".
+    profile carries exactly one value, kept with its key; the first
+    conflicting step, in BFS order with letters ascending, yields a
+    deterministic shortest-first witness pair reconstructed through
+    parent links.  Reaching ``budget`` states before the search settles
+    gives "unknown", at once if the words shorter than k alone are more.
 
-    Each state is the integer key of its profile (layout in the module
-    docstring): prefix code, suffix code and a bag, which counts the
-    letters of a word too short to hold a k-factor and otherwise holds
-    its capped factor counts, dense while ``_slot_width`` gives a slot
-    width and interned past ``DENSE_BAG_BITS``.  The interned bags' memo
-    is keyed by ``bag * A**k + factor``; ``grow`` builds a bag only when
-    the memo misses.
+    Those words fill whole levels and are never looked up; from the
+    (k - 1)-letter words on, a state is its key, and a step takes one of
+    the moves ``moves[key & field]`` (layout in the module docstring).
     """
     if alphabet_size < 1:
         raise ValueError(f"alphabet size {alphabet_size} must be positive")
@@ -118,39 +143,75 @@ def profile_determines(initial, step, alphabet_size: int, k: int, t: int = 1,
         raise BadK(f"threshold {t} must be at least 1")
     if budget < 1:
         raise ValueError(f"budget {budget} must be at least 1")
+    short = sum(alphabet_size ** length for length in range(k))
+    if short > budget:
+        return OracleResult("unknown", None, budget)
     letters = range(alphabet_size)
-    span = alphabet_size ** (k - 1)
-    factors = span * alphabet_size
-    bag_span = span * span
-    first = k - 1    # the empty bag; lower bags count letters
+    if callable(rows):
+        step = rows
+        rows = _Lookup(lambda value: [step(value, letter) for letter in letters])
+    first = k - 1    # the empty bag, and the bag of the (k - 1)-letter words
+    span = alphabet_size ** first
+    sbits = (span - 1).bit_length()
+    suffix_mask = (1 << sbits) - 1
+
+    parent = [0]    # pid * alphabet_size + letter of the step that found a state
+    level = [initial]
+    for _ in range(first):
+        parent.extend(range((len(parent) - len(level)) * alphabet_size,
+                            len(parent) * alphabet_size))
+        level = list(chain.from_iterable(map(rows.__getitem__, level)))
+    # a (k - 1)-letter word's prefix and suffix fields both hold its code
+    keys = [first << 2 * sbits | code << sbits | code for code in range(span)]
+    values = level
+    base = short - span    # the id of keys[0]
+
     width = _slot_width(alphabet_size, k, t)
     if width:
         # dense bags: the capped counts, one slot per factor code above
-        # the low bits that hold first
-        mask = (1 << width) - 1
-        shifts = range(first.bit_length(), first.bit_length() + width * factors, width)
+        # the low bits that hold first; moves by the suffix field
+        field = suffix_mask
+        low = 2 * sbits + first.bit_length()
+        slot_mask = (1 << width) - 1
+
+        def dense_moves(suffix: int) -> list[tuple[int, int, int, int, int]]:
+            out = []
+            for letter in letters:
+                factor = suffix * alphabet_size + letter
+                unit = 1 << low + factor * width
+                out.append((unit * slot_mask, unit * t, unit, factor % span - suffix, letter))
+            return out
+
+        moves = list(map(dense_moves, range(span)))
     else:
-        bags: list[tuple[tuple[int, int], ...]] = [()]    # the bag first + i
+        # interned bags: bag id first + i names bags[i], a sorted tuple
+        # of (factor code, count) pairs; moves by the bag and suffix
+        # fields, built per state, each shift carrying the change of bag
+        # id too
+        field = -1
+        bags: list[tuple[tuple[int, int], ...]] = [()]
         bag_ids = {(): first}
-        grown: dict[int, int] = {}
 
-        def grow(bag: int, factor: int) -> int:
-            counts = dict(bags[bag - first])
-            count = counts.get(factor, 0)
-            result = bag
-            if count < t:
-                counts[factor] = count + 1
-                frozen = tuple(sorted(counts.items()))
-                result = bag_ids.setdefault(frozen, first + len(bags))
-                if result == first + len(bags):
-                    bags.append(frozen)
-            grown[bag * factors + factor] = result
-            return result
+        def interned_moves(key: int) -> list[tuple[int, int, int, int, int]]:
+            bag, suffix = key >> 2 * sbits, key & suffix_mask
+            pairs = bags[bag - first]
+            out = []
+            for letter in letters:
+                factor = suffix * alphabet_size + letter
+                at = bisect_left(pairs, (factor,))
+                count = pairs[at][1] if at < len(pairs) and pairs[at][0] == factor else 0
+                grown = bag
+                if count < t:
+                    frozen = pairs[:at] + ((factor, count + 1),) + pairs[at + (count > 0):]
+                    fresh = first + len(bags)
+                    grown = bag_ids.setdefault(frozen, fresh)
+                    if grown == fresh:
+                        bags.append(frozen)
+                out.append((0, 0, 0, (grown - bag << 2 * sbits) + factor % span - suffix,
+                            letter))
+            return out
 
-    keys = [0]
-    ids = {0: 0}
-    value_of = [initial]
-    parent = [0]    # pid * alphabet_size + letter of the step that found a state
+        moves = _Lookup(interned_moves)
 
     def word_of(pid: int) -> tuple[int, ...]:
         out = []
@@ -159,37 +220,25 @@ def profile_determines(initial, step, alphabet_size: int, k: int, t: int = 1,
             out.append(letter)
         return tuple(reversed(out))
 
-    pid = 0
-    while pid < len(keys):
-        rest, suffix = divmod(keys[pid], span)
-        bag, prefix = divmod(rest, span)
-        value = value_of[pid]
-        memo_base = 0 if width else bag * factors    # dense bags skip the memo
-        shifted = suffix * alphabet_size
-        head = (suffix if bag < k else prefix) * span    # no k-factor: the word is its prefix
-        for letter in letters:
-            factor = shifted + letter
-            if bag < first:
-                bag_after = bag + 1
-            elif width:
-                shift = shifts[factor]
-                bag_after = bag if bag >> shift & mask >= t else bag + (1 << shift)
-            else:
-                bag_after = grown.get(memo_base + factor)
-                if bag_after is None:
-                    bag_after = grow(bag, factor)
-            target = bag_after * bag_span + head + factor % span
-            reached = step(value, letter)
-            nid = ids.get(target)
-            if nid is None:
-                if len(keys) >= budget:
-                    return OracleResult("unknown", None, len(keys))
-                ids[target] = len(keys)
+    seen = {}    # key -> value, for the words of k letters or more
+    missing = object()
+    found = short
+    link = (base - 1) * alphabet_size
+    for key, value in zip(keys, values):
+        link += alphabet_size
+        for (slot, full, unit, shift, letter), reached in zip(moves[key & field], rows[value]):
+            target = (key if key & slot == full else key + unit) + shift
+            old = seen.get(target, missing)
+            if old is missing:
+                if found >= budget:
+                    return OracleResult("unknown", None, found)
+                seen[target] = reached
+                found += 1
                 keys.append(target)
-                value_of.append(reached)
-                parent.append(pid * alphabet_size + letter)
-            elif value_of[nid] != reached:
-                return OracleResult("no", (word_of(nid), word_of(pid) + (letter,)),
-                                    len(keys))
-        pid += 1
-    return OracleResult("yes", None, len(keys))
+                values.append(reached)
+                parent.append(link + letter)
+            elif old != reached:
+                pid = link // alphabet_size
+                witness = (word_of(base + keys.index(target)), word_of(pid) + (letter,))
+                return OracleResult("no", witness, found)
+    return OracleResult("yes", None, found)

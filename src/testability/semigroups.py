@@ -371,13 +371,14 @@ def check_generator_testability(s: FiniteSemigroup) -> Verdict:
 
 
 def _cayley_fold(s: FiniteSemigroup, columns):
-    """The fold (initial, step) of words into the elements of ``s``.
+    """The fold (initial, table) of words into the elements of ``s``.
 
-    Letter a stands for generator ``columns[a]``: the step table keeps
-    column ``columns[a]`` of each Cayley row as entry a, and one last
+    Letter a stands for generator ``columns[a]``: row x of the table
+    keeps column ``columns[a]`` of Cayley row x as entry a, and one last
     row ``columns`` for the empty word, an identity adjoined as element
-    ``element_count``, so a step is two lookups.  The empty word's
-    profile is shared by no other word, so its value is never compared.
+    ``element_count``, so a step reads one entry of one row.  The empty
+    word's profile is shared by no other word, so its value is never
+    compared.
     A semigroup passes ``range(g)``; a graph passes the
     letter-to-generator map of its transition semigroup, whose elements
     are in bijection with the node maps of the words, so the verdicts
@@ -385,11 +386,7 @@ def _cayley_fold(s: FiniteSemigroup, columns):
     """
     table = [[row[j] for j in columns] for row in s.cayley]
     table.append(list(columns))
-
-    def step(value, a):
-        return table[value][a]
-
-    return s.element_count, step
+    return s.element_count, table
 
 
 def _order_search(s: FiniteSemigroup, columns, k_max: int, t: int,
@@ -403,10 +400,10 @@ def _order_search(s: FiniteSemigroup, columns, k_max: int, t: int,
     """
     if k_max < 1:
         raise BadK(f"largest window length {k_max} must be at least 1")
-    initial, step = _cayley_fold(s, columns)
+    initial, table = _cayley_fold(s, columns)
     states = 0
     for k in range(1, k_max + 1):
-        res = profile_determines(initial, step, len(columns), k, t, budget)
+        res = profile_determines(initial, table, len(columns), k, t, budget)
         states = res.states
         if res.status == "yes":
             return OrderResult("found", k, t, k_max, k - 1, states,

@@ -8,8 +8,9 @@ every (element, letter) pair, with no table lookups.  ``profile`` is
 the one readable definition of a k-profile: ``profile_search`` is the
 profile oracle's breadth-first search with each state keyed by it,
 which the integer-keyed search must match state for state, and
-``brute_force_scan`` groups every short word by it.  Deliberately
-slow; meant for small inputs.
+``brute_force_scan`` groups every short word by it.  Both fold words by
+a step function; ``fold_rows`` hands the same fold to the package as
+the table of rows it reads.  Deliberately slow; meant for small inputs.
 """
 
 from __future__ import annotations
@@ -403,6 +404,23 @@ def profile(word, k, t):
         bag[f] = min(bag.get(f, 0) + 1, t)
     suffix = word[len(word) - k + 1:] if k > 1 else ()
     return (word[:k - 1], suffix, frozenset(bag.items()))
+
+
+class _FoldRows(dict):
+    def __init__(self, step, alphabet_size):
+        super().__init__()
+        self.step = step
+        self.letters = range(alphabet_size)
+
+    def __missing__(self, value):
+        row = self[value] = [self.step(value, letter) for letter in self.letters]
+        return row
+
+
+def fold_rows(step, alphabet_size):
+    """The rows of a step-function fold, ``rows[v][a] == step(v, a)``: a
+    dict that fills the row of a value when it is first read."""
+    return _FoldRows(step, alphabet_size)
 
 
 def profile_search(initial, step, alphabet_size, k, t=1, budget=10**6):

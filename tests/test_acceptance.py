@@ -307,7 +307,8 @@ def test_criterion_6_monotonicity():
         for k in (1, 2, 3):
             prev = None
             for t in (1, 2, 3):
-                res = profile_determines(initial, step, alphabet, k, t, budget)
+                res = profile_determines(initial, naive.fold_rows(step, alphabet), alphabet,
+                                         k, t, budget)
                 if res.status == "unknown":
                     break
                 if prev == "yes":
@@ -587,7 +588,7 @@ def test_criterion_16_dense_profile_bags():
     tracemalloc.start()
     try:
         t0 = time.perf_counter()
-        res = profile_determines(0, lambda value, letter: value, 2, 5, budget=200_000)
+        res = profile_determines(0, [[0, 0]], 2, 5, budget=200_000)
         elapsed = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1]
     finally:

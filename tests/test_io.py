@@ -1,6 +1,7 @@
 """Parsing, writing, and report rendering for the text matrix formats."""
 
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -229,8 +230,10 @@ def _fuzzed_stream(rng):
     tokens = [_respelled(v, rng) if rng.random() < rate else str(v) for v in values]
     if tokens and rng.random() < 0.02:  # past the digit limit of int()
         tokens[rng.randrange(len(tokens))] = "9" * 5000
-    for _ in range(rng.choice((0, 0, 1, 2))):
+    for _ in range(rng.choice((0, 0, 1, 2, 6))):
         tokens.insert(rng.randint(0, len(tokens)), rng.choice(_COMMENTS))
+    if rng.random() < 0.2:  # a comment header line
+        tokens.insert(0, "# " + rng.choice(_COMMENTS) + "\n")
     if rng.random() < 0.2:
         tokens.append(rng.choice(("99", "+1", "1_0", "1e3", "abc")))
     return parse, "".join(t + rng.choice(_SPACES) for t in tokens)
@@ -246,17 +249,43 @@ def _outcome(parse, text):
 def test_split_pass_reads_what_the_regex_reads(monkeypatch):
     """Seeded fuzz: both parsers give the same value through the C-level
     split pass as through the regex alone, or raise the same exception
-    class with the same message, line and column."""
+    class with the same message, line and column.  Comments fall at
+    random positions, and pieces are cut as short as a few characters,
+    so pieces the regex reads are followed by pieces the split pass
+    reads."""
     rng = seeded("tokenizer")
+    pieces = io_formats._pieces
     cases = Counter()
     for _ in range(3000):
         parse, text = _fuzzed_stream(rng)
+        size = rng.choice((1, 8, 1 << 10))
+        monkeypatch.setattr(io_formats, "_pieces", partial(pieces, size=size))
         fast = _outcome(parse, text)
         with monkeypatch.context() as m:
             m.setattr(io_formats, "_split_values", lambda text: None)
             assert _outcome(parse, text) == fast, text
-        cases[io_formats._split_values(text) is not None, isinstance(fast, tuple)] += 1
-    assert len(cases) == 4, cases
+        commented = any(c in text.split() for c in _COMMENTS)
+        cases[io_formats._split_values(text) is not None, isinstance(fast, tuple), commented] += 1
+    assert len(cases) == 8, cases
+
+
+def test_a_comment_header_leaves_the_rest_to_the_split_pass(monkeypatch):
+    """A one-line comment header sends only the piece that holds it
+    through ``_regex_values``; the tokens after that piece are split."""
+    text = write_graph(random_graph(seeded("comment-header"), 3000, 3))
+    read = []
+
+    def spy(text):
+        read.append(text)
+        return regex_values(text)
+
+    regex_values = io_formats._regex_values
+    monkeypatch.setattr(io_formats, "_regex_values", spy)
+    commented = "# a comment header\n" + text
+    assert parse_graph(commented) == parse_graph(text)
+    first = next(io_formats._pieces(commented))
+    assert read == [first]
+    assert len(first) < 2000 < len(text)
 
 
 def test_pieces_split_into_the_tokens_of_the_whole_text():

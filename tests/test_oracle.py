@@ -1,5 +1,8 @@
 """The window-profile oracle, cross-checked against brute enumeration
-and against the reference search keyed by ``naive.profile``."""
+and against the reference search keyed by ``naive.profile``.
+
+The folds here are step functions, as the references take them; the
+package reads each one as its table of rows, through ``search``."""
 
 import tracemalloc
 
@@ -52,6 +55,12 @@ ACTIONS = {
 ALPHABETS = {"U1": 2, "LZ2": 2, "Z2": 1, "D_triv": 2, "D_parity": 1, "D_ab": 2}
 
 
+def search(initial, step, alphabet_size, *args, **kwargs):
+    """``profile_determines`` on the rows of a step-function fold."""
+    return profile_determines(initial, naive.fold_rows(step, alphabet_size), alphabet_size,
+                              *args, **kwargs)
+
+
 def test_profile_fields():
     assert naive.profile((0, 1), 2, 1) == ((0,), (1,), frozenset({((0, 1), 1)}))
 
@@ -70,16 +79,16 @@ def test_search_interns_profiles():
     # k=1 over two letters: the profiles are the four letter sets, the
     # empty word's among them; the semilattice fold is settled by them.
     initial, step = eval_action(FIX.U1)
-    res = profile_determines(initial, step, 2, 1)
+    res = search(initial, step, 2, 1)
     assert (res.status, res.states) == ("yes", 4)
     # one letter, k=2, t=1: "", "a" and every longer word
     initial, step = graph_action(FIX.D_triv)
-    assert profile_determines(initial, step, 1, 2).states == 3
+    assert search(initial, step, 1, 2).states == 3
 
 
 def test_budget_of_one_state_stops_at_the_empty_word():
     initial, step = graph_action(FIX.D_ab)
-    res = profile_determines(initial, step, 2, 3, budget=1)
+    res = search(initial, step, 2, 3, budget=1)
     assert (res.status, res.witness, res.states) == ("unknown", None, 1)
 
 
@@ -87,7 +96,7 @@ def test_budget_of_one_state_stops_at_the_empty_word():
 def test_search_rejects_a_budget_below_one(budget):
     initial, step = graph_action(FIX.D_ab)
     with pytest.raises(ValueError) as err:
-        profile_determines(initial, step, 2, 3, budget=budget)
+        search(initial, step, 2, 3, budget=budget)
     assert not isinstance(err.value, BadK)
 
 
@@ -103,43 +112,43 @@ def test_order_search_rejects_a_largest_window_below_one(k_max):
 
 def test_search_rejects_an_empty_alphabet():
     with pytest.raises(ValueError):
-        profile_determines(None, lambda v, a: v, 0, 1)
+        profile_determines(None, {}, 0, 1)
 
 
 def test_search_checks_its_window_arguments():
     initial, step = graph_action(FIX.D_ab)
     with pytest.raises(BadK):
-        profile_determines(initial, step, 2, 0)
+        search(initial, step, 2, 0)
     with pytest.raises(BadK):
-        profile_determines(initial, step, 2, 2, 0)
+        search(initial, step, 2, 2, 0)
     # the alphabet is checked first, and its error is not a BadK
     with pytest.raises(ValueError) as err:
-        profile_determines(initial, step, 0, 0)
+        search(initial, step, 0, 0)
     assert not isinstance(err.value, BadK)
 
 
 def test_trivial_graph_is_determined_at_k1():
     initial, step = graph_action(FIX.D_triv)
-    res = profile_determines(initial, step, 2, 1)
+    res = search(initial, step, 2, 1)
     assert res.status == "yes"
 
 
 def test_group_evaluation_is_never_determined():
     initial, step = eval_action(FIX.Z2)
-    res = profile_determines(initial, step, 1, 3)
+    res = search(initial, step, 1, 3)
     assert res.status == "no"
     assert res.witness == ((0, 0, 0), (0, 0, 0, 0))
 
 
 def test_semilattice_evaluation_is_determined_at_k1():
     initial, step = eval_action(FIX.U1)
-    res = profile_determines(initial, step, 2, 1)
+    res = search(initial, step, 2, 1)
     assert res.status == "yes"
 
 
 def test_budget_makes_the_answer_unknown():
     initial, step = graph_action(FIX.D_parity)
-    res = profile_determines(initial, step, 1, 2, budget=2)
+    res = search(initial, step, 1, 2, budget=2)
     assert res.status == "unknown"
     assert res.states >= 2
 
@@ -164,7 +173,7 @@ def test_brute_force_on_empty_scan():
 def test_oracle_agrees_with_brute_force(name, k, t):
     initial, step = ACTIONS[name]()
     a = ALPHABETS[name]
-    fast = profile_determines(initial, step, a, k, t)
+    fast = search(initial, step, a, k, t)
     slow = brute_force_scan(initial, step, a, k, t, max_len=8)
     # shortest witnesses for these fixtures fit well inside the scan
     assert fast.status == slow.status
@@ -189,7 +198,7 @@ def test_determination_is_monotone_in_k(name):
     settled = False
     for k in range(1, 5):
         # binary-alphabet profile spaces explode past k=4; stay in budget
-        status = profile_determines(initial, step, a, k, budget=300_000).status
+        status = search(initial, step, a, k, budget=300_000).status
         if status == "unknown":
             break
         if settled:
@@ -202,8 +211,8 @@ def test_determination_is_monotone_in_k(name):
 def test_determination_is_monotone_in_t(name, k):
     initial, step = ACTIONS[name]()
     a = ALPHABETS[name]
-    if profile_determines(initial, step, a, k, 1).status == "yes":
-        assert profile_determines(initial, step, a, k, 2).status == "yes"
+    if search(initial, step, a, k, 1).status == "yes":
+        assert search(initial, step, a, k, 2).status == "yes"
 
 
 @settings(max_examples=25)
@@ -215,7 +224,7 @@ def test_oracle_witnesses_on_random_graphs(seed):
 
     gr = random_graph(random.Random(seed), 4)
     initial, step = graph_action(gr)
-    res = profile_determines(initial, step, 2, 2)
+    res = search(initial, step, 2, 2)
     if res.status == "no":
         u, v = res.witness
         assert naive.profile(u, 2, 1) == naive.profile(v, 2, 1)
@@ -255,14 +264,14 @@ def test_cayley_fold_matches_node_maps(monkeypatch):
         a = gr.alphabet_size
         searches.clear()
         analyze_graph(gr, (), k=k, t=t, budget=budget)
-        ref = profile_determines(initial, step, a, k, t, budget)
+        ref = search(initial, step, a, k, t, budget)
         assert searches == [ref]
         verdicts.add(ref.status)
         searches.clear()
         order = analyze_graph(gr, (), order=True, k_max=3, t=t, budget=budget).order
         refs = []
         for j in range(1, 4):
-            refs.append(profile_determines(initial, step, a, j, t, budget))
+            refs.append(search(initial, step, a, j, t, budget))
             if refs[-1].status != "no":
                 break
         assert searches == refs
@@ -272,11 +281,12 @@ def test_cayley_fold_matches_node_maps(monkeypatch):
 
 REFERENCE_BUDGETS = (1, 3, 50, 3000)
 
-# Alphabets and windows past the seeded draws.  Budgets around the
-# number of words too short to hold a k-factor stop the search just
-# before, at and just after its first k-letter word; budget 3000 runs
-# each to a "no".
-WIDE_CASES = ((2, 6), (5, 2), (26, 2))
+# Alphabets and windows past the seeded draws, among them suffix spans
+# A**(k-1) of 9, 27 and 1 that are not powers of two or leave the
+# suffix field empty.  Budgets around the number of words too short to
+# hold a k-factor stop the search just before, at and just after its
+# first k-letter word; budget 3000 runs each to a "no".
+WIDE_CASES = ((2, 6), (5, 2), (26, 2), (3, 3), (3, 4), (1, 5))
 
 
 def _around_short_words(a, k):
@@ -318,14 +328,22 @@ def test_search_equals_the_kprofile_reference():
     status, witness and state count."""
     seen = {"k": set(), "t": set(), "budget": set(), "status": set()}
     for (initial, step), a, k, t, budget in _reference_corpus():
-        res = profile_determines(initial, step, a, k, t, budget)
+        res = search(initial, step, a, k, t, budget)
         assert res == naive.profile_search(initial, step, a, k, t, budget), (k, t, budget)
         for field, value in zip(seen, (k, t, budget, res.status)):
             seen[field].add(value)
     wide_budgets = {b for a, k in WIDE_CASES for b in _around_short_words(a, k)}
-    assert seen == {"k": {1, 2, 3, 4, 6}, "t": {1, 2, 3},
+    assert seen == {"k": {1, 2, 3, 4, 5, 6}, "t": {1, 2, 3},
                     "budget": set(REFERENCE_BUDGETS) | wide_budgets,
                     "status": {"yes", "no", "unknown"}}
+
+
+def test_a_step_function_folds_like_its_rows():
+    """A step function may stand in for the rows, and gives the same
+    search."""
+    for (initial, step), a, k, t, budget in _reference_corpus():
+        assert profile_determines(initial, step, a, k, t, budget) == \
+            search(initial, step, a, k, t, budget), (k, t, budget)
 
 
 def test_both_bag_encodings_equal_the_reference(monkeypatch):
@@ -335,7 +353,7 @@ def test_both_bag_encodings_equal_the_reference(monkeypatch):
         ref = naive.profile_search(initial, step, a, k, t, budget)
         for bound in (0, 10**9):
             monkeypatch.setattr(oracle, "DENSE_BAG_BITS", bound)
-            assert profile_determines(initial, step, a, k, t, budget) == ref, (bound, k, t)
+            assert search(initial, step, a, k, t, budget) == ref, (bound, k, t)
 
 
 def _capped_zero_runs(k, cap):
@@ -370,7 +388,7 @@ def test_bag_encodings_meet_at_the_bound(monkeypatch, a, k, t):
         for bound, width in ((bits, t.bit_length()), (bits - 1, 0)):
             monkeypatch.setattr(oracle, "DENSE_BAG_BITS", bound)
             assert oracle._slot_width(a, k, t) == width
-            assert profile_determines(initial, step, a, k, t, budget) == ref, (bound, budget)
+            assert search(initial, step, a, k, t, budget) == ref, (bound, budget)
     assert "no" in statuses
 
 
@@ -378,14 +396,15 @@ def test_bag_encodings_meet_at_the_bound(monkeypatch, a, k, t):
 # words apart, at the default threshold and budget: the rows that settle.
 @pytest.mark.parametrize("a, k, states", [(2, 4, 74_461), (3, 2, 1_615), (4, 2, 442_393)])
 def test_readme_budget_table(a, k, states):
-    res = profile_determines(0, lambda value, letter: value, a, k)
+    res = profile_determines(0, [[0] * a], a, k)
     assert (res.status, res.witness, res.states) == ("yes", None, states)
 
 
 # Peak traced memory of the search below, 2-core host, Python 3.11:
 # 10.8 MB with tuple-valued profile states, 8.2 MB with interned count
-# bags, 26.8 MB with interned bags held as dense bitmasks over the 26**3
-# factors.  The bound is the tuple-valued figure plus 25%.
+# bags, 6.4 MB with interned bags that share their (factor, count)
+# pairs, 26.8 MB with interned bags held as dense bitmasks over the
+# 26**3 factors.  The bound is the tuple-valued figure plus 25%.
 MEMORY_BOUND_MB = 13.5
 
 
@@ -399,7 +418,7 @@ def test_search_memory_is_bounded_by_the_words():
 
     tracemalloc.start()
     try:
-        res = profile_determines((0, 1), step, 26, 3, budget=20_000)
+        res = search((0, 1), step, 26, 3, budget=20_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

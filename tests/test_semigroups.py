@@ -740,7 +740,8 @@ def test_order_postcondition(i):
         assert brute_force_scan(None, step, s.generator_count,
                                 res.k, max_len=5).status == "yes"
         if res.k > 1:
-            below = profile_determines(None, step, s.generator_count, res.k - 1)
+            below = profile_determines(None, naive.fold_rows(step, s.generator_count),
+                                       s.generator_count, res.k - 1)
             assert below.status == "no"
             u, v = below.witness
             assert naive.profile(u, res.k - 1, 1) == naive.profile(v, res.k - 1, 1)
