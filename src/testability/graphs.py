@@ -36,16 +36,16 @@ def complete_with_sink(gr: TransitionGraph) -> TransitionGraph:
     if gr.complete:
         return gr
     sink = gr.node_count
-    rows = gr.delta + ((sink,) * gr.alphabet_size,)
-    return TransitionGraph(gr.alphabet_size, sink + 1,
-                           ([sink if c == UNDEFINED else c for c in row] for row in rows))
+    return TransitionGraph._of_columns(
+        gr.alphabet_size, sink + 1,
+        ([sink if c == UNDEFINED else c for c in column] + [sink] for column in gr.columns))
 
 
 def letter_transformations(gr: TransitionGraph) -> tuple[Transformation, ...]:
     """The node map of each letter, in label order."""
     if not gr.complete:
         raise IncompleteInput("graph has undefined transitions; complete it first")
-    return tuple(zip(*gr.delta))
+    return gr.columns
 
 
 @dataclass(frozen=True)
@@ -72,27 +72,28 @@ def transition_semigroup(gr: TransitionGraph) -> TransitionSemigroup:
     """Close the letter transformations under composition.
 
     Elements are numbered in shortlex order of their least generator
-    words.  The node maps live only while ``_closure`` runs, so they
-    are freed before the table's own closure starts: the result keeps
-    only the Cayley table and the letter names.
+    words.  The node maps live only while ``_closure`` runs: the result
+    keeps only the Cayley table, its steps and words, and the letter
+    names.
     """
-    rows, label_to_gen, gen_letters = _closure(gr)
-    sg = FiniteSemigroup(rows)
+    rows, steps, label_to_gen, gen_letters = _closure(gr)
+    sg = FiniteSemigroup(rows, _steps=steps)
     # Composition of maps is associative, so Light's test is skipped.
     sg._verdicts[ASSOCIATIVITY] = Verdict(ASSOCIATIVITY, YES)
     return TransitionSemigroup(sg, tuple(label_to_gen), tuple(gen_letters))
 
 
 def _closure(gr: TransitionGraph):
-    """Cayley rows, letter-to-generator map and generator letters of the
-    closure of the letter maps.
+    """Cayley rows, breadth-first steps, letter-to-generator map and
+    generator letters of the closure of the letter maps.
 
     One breadth-first loop composes every element, in discovery order,
     with every generator, ascending, so elements are numbered in
-    shortlex order of their least generator words.
+    shortlex order of their least generator words, and a new element
+    z = x*j gets the step (z, x, j) that ``FiniteSemigroup`` keeps.
 
     Elements are keyed by their maps on one node per distinct row of
-    ``delta``: nodes p and q with equal rows are sent to the same node
+    targets: nodes p and q with equal rows are sent to the same node
     by every letter, hence by every element (a letter followed by
     something), so two elements are equal exactly when these restricted
     maps are.  Every value of an element lies in the letters' image, so
@@ -111,24 +112,27 @@ def _closure(gr: TransitionGraph):
     ids: dict = {}
     gen_letters: list[int] = []
     label_to_gen: list[int] = []
-    for a, tr in enumerate(zip(*dict.fromkeys(gr.delta))):
+    for a, tr in enumerate(zip(*dict.fromkeys(zip(*letters)))):
         j = ids.setdefault(encode(code[p] for p in tr), len(ids))
         if j == len(gen_letters):
             gen_letters.append(a)
         label_to_gen.append(j)
     tables = [encode(code[letters[a][p]] for p in image) + pad for a in gen_letters]
     elements = list(ids)
-    rows: list[list[int]] = []
+    steps: list[tuple[int, int, int]] = []
+    rows: list[tuple[int, ...]] = []
     for m in elements:  # grows as products find new elements
+        x = ids[m]  # m's number, as the int object the rows already hold
         row: list[int] = []
-        for table in tables:
+        for j, table in enumerate(tables):
             nxt = step(m, table)
             z = ids.setdefault(nxt, len(elements))
             if z == len(elements):
                 elements.append(nxt)
+                steps.append((z, x, j))
             row.append(z)
-        rows.append(row)
-    return rows, label_to_gen, gen_letters
+        rows.append(tuple(row))
+    return rows, steps, label_to_gen, gen_letters
 
 
 def _one_testability(gr: TransitionGraph) -> Verdict:

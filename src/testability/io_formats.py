@@ -130,11 +130,11 @@ class _Numbers:
         if m is None:
             raise TooFewNumbers(f"input ended while reading {what}")
         raise BadToken(f"token {m.group()!r} mixes digits and other characters",
-                       *self.where(self.taken), m.group())
+                       *self.where(self.taken, m), m.group())
 
-    def where(self, i: int) -> tuple[int, int]:
-        """(line, column) of numeric token i, both counted from 1."""
-        m = self._match(i)
+    def where(self, i: int, m: re.Match | None = None) -> tuple[int, int]:
+        """(line, column), from 1, of numeric token i, whose match may be given."""
+        m = m or self._match(i)
         lines = self.text[:m.end()].splitlines()
         return len(lines), len(lines[-1]) - len(m.group()) + 1
 
@@ -175,7 +175,7 @@ def parse_graph(text: str) -> TransitionGraph:
         raise NonpositiveHeader(f"node count {g} must be positive",
                                 *nums.where(1), str(g))
     cells = _cells(nums, g * a, UNDEFINED, g - 1, "transition target", "transition")
-    return TransitionGraph(a, g, zip(*[iter(cells)] * a))
+    return TransitionGraph._of_columns(a, g, (cells[c::a] for c in range(a)))
 
 
 def parse_semigroup(text: str) -> FiniteSemigroup:
@@ -201,19 +201,20 @@ def parse_semigroup(text: str) -> FiniteSemigroup:
     return s
 
 
-def _write_table(header: str, rows) -> str:
-    """The header line, then the rows, every cell through ``str`` once."""
+def _write_table(header: str, rows, width: int) -> str:
+    """The header line, then rows of ``width`` cells, each through ``str`` once."""
     cells = map(str, chain.from_iterable(rows))
-    lines = map(" ".join, zip(*[cells] * len(rows[0])))
+    lines = map(" ".join, zip(*[cells] * width))
     return "\n".join(chain((header,), lines)) + "\n"
 
 
 def write_graph(gr: TransitionGraph) -> str:
-    return _write_table(f"{gr.alphabet_size} {gr.node_count}", gr.delta)
+    return _write_table(f"{gr.alphabet_size} {gr.node_count}", zip(*gr.columns),
+                        gr.alphabet_size)
 
 
 def write_semigroup(s: FiniteSemigroup) -> str:
-    return _write_table(f"{s.element_count} {s.generator_count}", s.cayley)
+    return _write_table(f"{s.element_count} {s.generator_count}", s.cayley, s.generator_count)
 
 
 def _witness_str(witness: tuple) -> str:

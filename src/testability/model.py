@@ -97,33 +97,58 @@ def _check_cells(rows, width: int, low: int, where: str) -> None:
                     raise ValueError(f"cell {c} {where} {i} out of range")
 
 
-@dataclass(frozen=True)
 class TransitionGraph:
     """Transition table of a deterministic automaton, no accepting states.
 
-    ``delta[p][c]`` is the node reached from node p under label c, or
-    UNDEFINED (-1) where the transition is missing.  Any iterable of
-    rows is accepted; construction stores it once, as tuples of ints.
+    Stored as letter columns: ``columns[c][p]`` is the node label c
+    leads to from node p, or UNDEFINED (-1) where it leads nowhere.  The
+    constructor takes any iterable of rows ``delta[p][c]``, which
+    ``delta`` derives back.  Graphs with equal columns are equal.
     """
 
-    alphabet_size: int
-    node_count: int
-    delta: tuple[tuple[int, ...], ...]
+    __slots__ = ("alphabet_size", "node_count", "columns")
 
-    def __post_init__(self):
-        if self.alphabet_size < 1:
-            raise ValueError(f"alphabet size {self.alphabet_size} must be positive")
-        if self.node_count < 1:
-            raise ValueError(f"node count {self.node_count} must be positive")
-        delta = tuple(tuple(map(int, row)) for row in self.delta)
-        object.__setattr__(self, "delta", delta)
-        if len(delta) != self.node_count:
-            raise ValueError(f"expected {self.node_count} rows, got {len(delta)}")
-        _check_cells(delta, self.alphabet_size, UNDEFINED, "at node")
+    def __init__(self, alphabet_size: int, node_count: int, delta):
+        if alphabet_size < 1:
+            raise ValueError(f"alphabet size {alphabet_size} must be positive")
+        if node_count < 1:
+            raise ValueError(f"node count {node_count} must be positive")
+        rows = tuple(tuple(map(int, row)) for row in delta)
+        if len(rows) != node_count:
+            raise ValueError(f"expected {node_count} rows, got {len(rows)}")
+        _check_cells(rows, alphabet_size, UNDEFINED, "at node")
+        self.alphabet_size, self.node_count = alphabet_size, node_count
+        self.columns = tuple(zip(*rows))
+
+    @classmethod
+    def _of_columns(cls, alphabet_size: int, node_count: int, columns):
+        """The builders' path: equal-length columns of ints, one C-level
+        check, and the rows' walk only to name what fails it."""
+        columns = tuple(map(tuple, columns))
+        if not (node_count >= 1 and len(columns) == alphabet_size
+                and set(map(len, columns)) == {node_count}
+                and UNDEFINED <= min(map(min, columns)) and max(map(max, columns)) < node_count):
+            return cls(alphabet_size, node_count, zip(*columns))
+        gr = cls.__new__(cls)
+        gr.alphabet_size, gr.node_count, gr.columns = alphabet_size, node_count, columns
+        return gr
+
+    @property
+    def delta(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.columns))
 
     @property
     def complete(self) -> bool:
-        return UNDEFINED not in chain.from_iterable(self.delta)
+        return all(UNDEFINED not in column for column in self.columns)
+
+    def __eq__(self, other):  # the columns fix both sizes
+        return isinstance(other, TransitionGraph) and self.columns == other.columns
+
+    def __hash__(self):
+        return hash(self.columns)
+
+    def __repr__(self):
+        return f"TransitionGraph(alphabet={self.alphabet_size}, nodes={self.node_count})"
 
 
 class FiniteSemigroup:
@@ -134,7 +159,9 @@ class FiniteSemigroup:
     Construction performs the closure: every element must be reachable
     from the generators (otherwise NotGenerated), and each element gets
     one factorization, a shortest word of generator indices found
-    breadth-first.
+    breadth-first from the step (y, x, j) that first found y as x*j.
+    ``graphs._closure`` hands in its rows and steps (``_steps``), which
+    are neither checked nor walked again.
 
     The full product table is derived from the rows on demand.  A row
     x*y for all y is filled in one pass over the discovery order, since
@@ -148,33 +175,37 @@ class FiniteSemigroup:
     __slots__ = ("element_count", "generator_count", "cayley", "factorization",
                  "_steps", "_rows", "_verdicts")
 
-    def __init__(self, rows):
-        rows = tuple(tuple(map(int, row)) for row in rows)
-        n = len(rows)
-        if n == 0:
-            raise ValueError("a semigroup needs at least one element")
+    def __init__(self, rows, *, _steps=None):
+        if _steps is None:
+            rows = tuple(tuple(map(int, row)) for row in rows)
+            n = len(rows)
+            if n == 0:
+                raise ValueError("a semigroup needs at least one element")
+            g = len(rows[0])
+            if not 1 <= g <= n:
+                raise ValueError(f"generator count {g} not in 1..{n}")
+            _check_cells(rows, g, 0, "in row")
+            reached = [True] * g + [False] * (n - g)
+            order = list(range(g))
+            _steps = []
+            for x in order:  # order grows while walked: a breadth-first queue
+                for j, y in enumerate(rows[x]):
+                    if not reached[y]:
+                        reached[y] = True
+                        _steps.append((y, x, j))
+                        order.append(y)
+            if not all(reached):
+                raise NotGenerated(reached.index(False))
+
         g = len(rows[0])
-        if not 1 <= g <= n:
-            raise ValueError(f"generator count {g} not in 1..{n}")
-        _check_cells(rows, g, 0, "in row")
-
-        fact: list[tuple[int, ...] | None] = [(j,) for j in range(g)] + [None] * (n - g)
-        order = list(range(g))
-        steps = []
-        for x in order:  # order grows while walked: a breadth-first queue
-            for j, y in enumerate(rows[x]):
-                if fact[y] is None:
-                    fact[y] = fact[x] + (j,)
-                    steps.append((y, x, j))
-                    order.append(y)
-        if None in fact:
-            raise NotGenerated(fact.index(None))
-
-        self.element_count = n
+        fact: list = [(j,) for j in range(g)] + [None] * (len(rows) - g)
+        for y, x, j in _steps:  # x was found before y
+            fact[y] = fact[x] + (j,)
+        self.element_count = len(rows)
         self.generator_count = g
-        self.cayley = rows
+        self.cayley = tuple(rows)
         self.factorization = tuple(fact)
-        self._steps = tuple(steps)
+        self._steps = tuple(_steps)
         self._rows: dict[int, tuple[int, ...]] = {}
         self._verdicts: dict = {}  # filled by semigroups._check
 

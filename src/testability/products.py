@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from operator import add
-
 from .model import YES, FiniteSemigroup, IncompleteInput, TransitionGraph, Verdict
 from .semigroups import ASSOCIATIVITY
 
@@ -50,12 +48,13 @@ def graph_direct_product(gr1: TransitionGraph, gr2: TransitionGraph) -> Transiti
     """Synchronous product: node pairs stepping together letter by letter.
 
     The alphabet is the shorter of the two, labels identified by
-    position; node pair (p, q) gets index p*g2 + q.
+    position; node pair (p, q) gets index p*g2 + q, built a letter
+    column at a time.
     """
     if not gr1.complete or not gr2.complete:
         raise IncompleteInput("direct product needs complete graphs")
-    a = min(gr1.alphabet_size, gr2.alphabet_size)
     g2 = gr2.node_count
-    scaled = [tuple(c * g2 for c in row1[:a]) for row1 in gr1.delta]
-    return TransitionGraph(a, gr1.node_count * g2,
-                           (map(add, s, row2) for s in scaled for row2 in gr2.delta))
+    return TransitionGraph._of_columns(
+        min(gr1.alphabet_size, gr2.alphabet_size), gr1.node_count * g2,
+        ([s + y for s in [c * g2 for c in col1] for y in col2]
+         for col1, col2 in zip(gr1.columns, gr2.columns)))

@@ -60,6 +60,25 @@ def graph_rows(alphabet_size, node_count, delta):
     return tuple(tuple(row) for row in rows)
 
 
+def sink_completed_rows(alphabet_size, node_count, rows):
+    """The rows with every -1 sent to one new node, numbered last, that
+    every letter keeps in place; the rows unchanged when none is -1."""
+    if all(c != -1 for row in rows for c in row):
+        return tuple(tuple(row) for row in rows)
+    sink = node_count
+    completed = [tuple(sink if c == -1 else c for c in row) for row in rows]
+    return tuple(completed + [(sink,) * alphabet_size])
+
+
+def product_rows(rows1, rows2):
+    """The synchronous product's rows, cell by cell: node pair (p, q) is
+    node p * len(rows2) + q, and the letters are the ones both share."""
+    a = min(len(rows1[0]), len(rows2[0]))
+    n2 = len(rows2)
+    return tuple(tuple(rows1[p][c] * n2 + rows2[q][c] for c in range(a))
+                 for p in range(len(rows1)) for q in range(n2))
+
+
 def semigroup_rows(cayley):
     """The rows ``FiniteSemigroup`` stores, or what it raises: a
     ValueError for the shape (element count, generator count, then each

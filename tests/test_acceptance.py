@@ -598,3 +598,42 @@ def test_criterion_16_dense_profile_bags():
     assert elapsed < 60.0
     print(f"PASS criterion 16: two-letter k=5 search to 200,000 states at "
           f"{peak / 1e6:.1f} MB traced peak < 60 MB in {elapsed:.2f}s < 60s")
+
+
+def test_criterion_17_graph_path_memory():
+    # The 40,000-node product of criterion 8's 200-node graph with
+    # itself, as text, then as a graph.  A graph is its letter columns,
+    # so parsing slices the cells once per letter and the product builds
+    # each letter's column whole; the traced peaks stay near the size of
+    # the columns, with no row tuples built on the way.
+    rng = random.Random("testability:capacity-graph-6-0")
+    core = rng.sample(range(200), 6)
+    gr = TransitionGraph(2, 200, tuple(tuple(rng.choice(core) for _ in range(2))
+                                       for _ in range(200)))
+    text = write_graph(graph_direct_product(gr, gr))
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        report = analyze_graph(parse_graph(text), [LOCAL_TESTABILITY])
+        parse_elapsed = time.perf_counter() - t0
+        parse_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.descriptor["nodes"] == 40_000
+    assert report.verdicts[0].witness == (13, 29)
+    del report
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        big = graph_direct_product(gr, gr)
+        product_elapsed = time.perf_counter() - t0
+        product_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert write_graph(big) == text
+    assert parse_peak < 6e6, f"parse and LT peak {parse_peak / 1e6:.1f} MB"
+    assert product_peak < 4.5e6, f"product peak {product_peak / 1e6:.1f} MB"
+    assert parse_elapsed < 5.0 and product_elapsed < 5.0
+    print(f"PASS criterion 17: the 40,000-node graph parsed and checked for LT at "
+          f"{parse_peak / 1e6:.1f} MB traced peak < 6 MB, and built as a product at "
+          f"{product_peak / 1e6:.1f} MB < 4.5 MB")

@@ -7,10 +7,12 @@ import pytest
 
 from testability import (
     BadK,
+    FiniteSemigroup,
     IncompleteInput,
     TransitionGraph,
     analyze_graph,
     complete_with_sink,
+    graph_direct_product,
     letter_transformations,
     strongly_connected_components,
     transition_semigroup,
@@ -19,7 +21,8 @@ from testability import graphs, semigroups
 from testability.semigroups import (ALL_PROPERTIES, ASSOCIATIVITY, LOCAL_TESTABILITY,
                                     ONE_TESTABILITY, PROPERTY_CHECKS)
 from tests import naive
-from tests.corpus import fixtures, random_graph, random_partial_graph, seeded
+from tests.corpus import (fixtures, random_dfas, random_graph, random_partial_graph,
+                          seeded)
 
 FIX = fixtures()
 
@@ -37,6 +40,16 @@ def test_completion_adds_one_sink():
 
 def test_completion_leaves_complete_graphs_alone():
     assert complete_with_sink(FIX.D_ab) is FIX.D_ab
+
+
+def test_completion_matches_the_row_by_row_reference():
+    rng = seeded("sink-columns")
+    for _ in range(150):
+        g, a = rng.randrange(1, 7), rng.randrange(1, 4)
+        gr = random_partial_graph(rng, g, a, hole=rng.choice((0.0, 0.2, 0.6)))
+        done = complete_with_sink(gr)
+        assert done.delta == naive.sink_completed_rows(a, g, gr.delta)
+        assert done.complete and (done is gr) == gr.complete
 
 
 def test_letter_transformations():
@@ -122,6 +135,48 @@ def test_closure_matches_the_breadth_first_reference():
         assert ts.generator_letters == gen_letters, kind
         kinds.add(kind)
     assert len(kinds) == 6
+
+
+def _assert_records_match(ts):
+    """The handed-over records equal those a walk of the rows finds."""
+    sg, again = ts.semigroup, FiniteSemigroup(ts.semigroup.cayley)
+    assert sg.cayley == again.cayley
+    assert sg.factorization == again.factorization
+    assert sg._steps == again._steps
+    assert (sg.element_count, sg.generator_count) == (again.element_count,
+                                                      again.generator_count)
+
+
+def test_handed_records_equal_the_rebuilt_ones():
+    """The closure hands its rows and steps to the semigroup; walking
+    the same rows again finds the same steps and factorizations, on the
+    corpus and on seeded random graphs."""
+    graphs_seen = [FIX.D_triv, FIX.D_parity, FIX.D_ab, CHAIN3] + random_dfas(30)
+    graphs_seen += [gr for _, gr in _closure_corpus()] + _row_class_corpus()
+    rng = seeded("handed-records")
+    graphs_seen += [complete_with_sink(random_partial_graph(rng, rng.randint(1, 8),
+                                                            rng.randint(1, 3)))
+                    for _ in range(60)]
+    for gr in graphs_seen:
+        _assert_records_match(transition_semigroup(gr))
+
+
+def test_handed_records_of_the_large_closures():
+    """The 13,517-element closure of a 200-node three-letter graph and
+    the 840-element closure of a 40,000-node product hand over the same
+    records a second walk finds."""
+    rng = random.Random("testability:capacity-graph-8-3")
+    core = rng.sample(range(200), 8)
+    g3 = TransitionGraph(3, 200, tuple(tuple(rng.choice(core) for _ in range(3))
+                                       for _ in range(200)))
+    rng = random.Random("testability:capacity-graph-6-0")
+    core = rng.sample(range(200), 6)
+    g200 = TransitionGraph(2, 200, tuple(tuple(rng.choice(core) for _ in range(2))
+                                         for _ in range(200)))
+    for gr, size in ((g3, 13_517), (graph_direct_product(g200, g200), 840)):
+        ts = transition_semigroup(gr)
+        assert ts.semigroup.element_count == size
+        _assert_records_match(ts)
 
 
 def _core_graph(rng, n, core, letters, hole=0.0):

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never
 uses, anything from the tests or the benchmark, or anything outside the
-standard library, directly or at run time, and no function assigns a local it never reads; the
-public surface is exactly what ``__init__`` imports; every name the
+standard library, directly or at run time; no function assigns a local
+it never reads, and no module reads a graph's row view; the public
+surface is exactly what ``__init__`` imports; every name the
 benchmark's tracer wraps still exists; the README's Library section
 names only what the package exports."""
 
@@ -38,6 +39,17 @@ def test_every_import_is_used(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted(set(_imported_names(tree)) - used)
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_the_row_view(path):
+    """A graph is its letter columns; ``TransitionGraph.delta`` derives
+    the rows from them for tests and callers, and no package code reads
+    it, so the row view stays a compatibility view."""
+    tree = ast.parse(path.read_text())
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "delta"]
+    assert reads == [], f"{path.name} reads .delta on lines {reads}"
 
 
 def test_every_module_is_scanned():

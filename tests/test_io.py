@@ -159,6 +159,61 @@ def test_product_output_round_trips():
     assert parse_graph(write_graph(square)) == square
 
 
+def _cell_by_cell(a, n, rows):
+    """A graph file written one cell at a time, from the rows."""
+    out = f"{a} {n}\n"
+    for row in rows:
+        out += " ".join(str(c) for c in row) + "\n"
+    return out
+
+
+def test_parse_write_round_trip_gives_the_cell_by_cell_bytes():
+    """Seeded graphs, spelled with uneven spacing, line breaks and
+    comments, parse to columns that write back as the rows written cell
+    by cell."""
+    rng = seeded("column-round-trip")
+    for _ in range(60):
+        g, a = rng.randint(1, 300), rng.randint(1, 3)
+        rows = [[rng.randrange(-1, g) for _ in range(a)] for _ in range(g)]
+        cells = [str(c) for row in rows for c in row]
+        spelled = [f"{a}", f"{g}"] + cells
+        text = "".join(token + rng.choice((" ", "  ", "\n", " # note\n", "\t"))
+                       for token in spelled)
+        want = _cell_by_cell(a, g, rows)
+        assert write_graph(parse_graph(text)) == want
+        assert write_graph(parse_graph(want)) == want
+
+
+class _CountingPattern:
+    """Stands in for ``_TOKEN``, counting the passes over one text."""
+
+    def __init__(self, pattern, text):
+        self.pattern, self.text, self.passes = pattern, text, 0
+
+    def finditer(self, text):
+        self.passes += text == self.text
+        return self.pattern.finditer(text)
+
+
+@pytest.mark.parametrize("where", ["header", "middle", "last"])
+def test_a_bad_token_is_found_by_one_pass_over_the_text(monkeypatch, where):
+    """A ``BadToken`` report scans the whole text for its token once,
+    and names the same line and column as before."""
+    gr = random_graph(seeded("bad-token-pass"), 1000, 2)
+    lines = write_graph(gr).splitlines()
+    line = {"header": 0, "middle": 500, "last": len(lines) - 1}[where]
+    lines[line] = lines[line].rsplit(" ", 1)[0] + " 1x"
+    text = "\n".join(lines) + "\n"
+    assert len(text) > 4 * 1024    # more than one piece of the split pass
+    spy = _CountingPattern(io_formats._TOKEN, text)
+    monkeypatch.setattr(io_formats, "_TOKEN", spy)
+    with pytest.raises(BadToken) as exc:
+        parse_graph(text)
+    assert spy.passes == 1
+    assert (exc.value.line, exc.value.token) == (line + 1, "1x")
+    assert exc.value.column == len(lines[line]) - 1
+
+
 _COMMENT = st.text(alphabet="abcxyz#;!-=", min_size=1, max_size=6)
 
 

@@ -175,6 +175,91 @@ def test_constructor_errors_match_the_row_by_row_reference():
                                "row # has # cells, expected #", "cell # in row # out of range"}
 
 
+def _malform_columns(rng, columns, node_count):
+    """``columns`` as lists, each as long as the others, with zero to
+    two seeded defects: a cell just outside -1..node_count-1, a node
+    dropped from or added to every column, a column dropped or added,
+    or a header of 0."""
+    columns = [list(column) for column in columns]
+    a, n = len(columns), node_count
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        defect = rng.randrange(4)
+        if defect == 0 and columns[0]:
+            column = rng.choice(columns)
+            column[rng.randrange(len(column))] = rng.choice((-2, n, n + 1))
+        elif defect == 1:
+            if len(columns[0]) > 1 and rng.random() < 0.5:
+                for column in columns:
+                    column.pop()
+            else:
+                for column in columns:
+                    column.append(rng.randrange(n))
+        elif defect == 2:
+            if len(columns) > 1 and rng.random() < 0.5:
+                columns.pop(rng.randrange(len(columns)))
+            else:
+                columns.append([rng.randrange(n) for _ in columns[0]])
+        elif rng.random() < 0.5:
+            return 0, n, columns
+        else:
+            return a, 0, columns
+    return a, n, columns
+
+
+def test_column_path_errors_match_the_row_by_row_reference():
+    """The builders' column path raises what the public constructor and
+    the row-by-row reference raise for the same table read as rows, and
+    stores what they store."""
+    rng = seeded("column-errors")
+    kinds = set()
+    for _ in range(400):
+        g, a = rng.randrange(1, 6), rng.randrange(1, 4)
+        base = (random_partial_graph if rng.random() < 0.5 else random_graph)(rng, g, a)
+        a, n, columns = _malform_columns(rng, base.columns, g)
+        rows = list(zip(*columns))
+        want = _outcome(naive.graph_rows, a, n, rows)
+        assert _outcome(lambda: TransitionGraph._of_columns(a, n, columns).delta) == want
+        assert _outcome(lambda: TransitionGraph(a, n, rows).delta) == want
+        kinds.add(_kind(want))
+    assert kinds == {"ok", "expected # rows, got #", "row # has # cells, expected #",
+                     "cell # at node # out of range", "alphabet size # must be positive",
+                     "node count # must be positive"}
+
+
+def test_rows_and_columns_build_equal_graphs():
+    """A table handed over as rows or as columns gives one graph: equal,
+    hashed alike, with the columns transposed from the rows and
+    ``delta`` the reference's rows."""
+    rng = seeded("rows-and-columns")
+    for _ in range(200):
+        g, a = rng.randrange(1, 7), rng.randrange(1, 4)
+        rows = (random_partial_graph if rng.random() < 0.5 else random_graph)(
+            rng, g, a).delta
+        by_rows = TransitionGraph(a, g, iter(rows))
+        by_columns = TransitionGraph._of_columns(a, g, map(list, zip(*rows)))
+        assert by_rows == by_columns and hash(by_rows) == hash(by_columns)
+        assert by_rows.columns == by_columns.columns == tuple(zip(*rows))
+        assert by_columns.delta == naive.graph_rows(a, g, rows)
+        assert by_rows.complete == (-1 not in (c for row in rows for c in row))
+        changed = [list(row) for row in rows]
+        changed[rng.randrange(g)][rng.randrange(a)] = rng.randrange(-1, g)
+        assert (by_rows == TransitionGraph(a, g, changed)) == (tuple(map(tuple, changed))
+                                                               == rows)
+    assert FIX.D_ab != FIX.D_ab.delta
+    assert repr(FIX.D_ab) == "TransitionGraph(alphabet=2, nodes=3)"
+
+
+def test_handed_records_leave_the_public_checks_in_place():
+    """Only the closure hands its records over; a table given to the
+    constructor is still checked cell by cell and walked."""
+    with pytest.raises(NotGenerated) as exc:
+        FiniteSemigroup(((0,), (1,)))
+    assert exc.value.element == 1
+    with pytest.raises(ValueError, match="cell 2 in row 1 out of range"):
+        FiniteSemigroup(((1,), (2,)))
+    assert FiniteSemigroup([["1"], [0]]) == FIX.Z2
+
+
 def test_complete_flag():
     assert FIX.D_ab.complete
     assert not TransitionGraph(2, 1, ((0, -1),)).complete

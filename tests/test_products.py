@@ -23,7 +23,9 @@ from tests.corpus import (
     cyclic_group,
     fixtures,
     min_chain,
+    random_graph,
     rectangular_band,
+    seeded,
     semigroup_zoo,
 )
 
@@ -118,6 +120,19 @@ def test_product_alphabet_is_the_common_prefix():
         pq = (node // 3, node % 3)
         target = (FIX.D_parity.delta[pq[0]][0], FIX.D_ab.delta[pq[1]][0])
         assert p.delta[node][0] == target[0] * 3 + target[1]
+
+
+def test_graph_product_matches_the_row_by_row_reference():
+    """Each letter's column is built whole; the rows it gives are the
+    pairs stepped cell by cell, alphabets of unequal size included."""
+    rng = seeded("product-columns")
+    for _ in range(100):
+        gr1 = random_graph(rng, rng.randint(1, 6), rng.randint(1, 3))
+        gr2 = random_graph(rng, rng.randint(1, 6), rng.randint(1, 3))
+        product = graph_direct_product(gr1, gr2)
+        assert product.delta == naive.product_rows(gr1.delta, gr2.delta)
+        assert product.alphabet_size == min(gr1.alphabet_size, gr2.alphabet_size)
+        assert product.node_count == gr1.node_count * gr2.node_count
 
 
 def test_product_requires_complete_inputs():
