@@ -79,21 +79,30 @@ def _split_values(text: str):
     A piece that ``int`` cannot read whole (it holds a comment, a
     malformed token or a value past ``int``'s digit limit) is read by
     ``_regex_values`` instead.  The pieces after it go back to the split
-    pass, unless a malformed token ended the values there.
+    pass, unless a malformed token ended the values there.  Each piece's
+    values come with its mark: its offset and the count of values before
+    it.
     """
     if "+" in text or "_" in text:
         return None
-    return chain.from_iterable(_piece_values(text))
+    return _piece_values(text)
 
 
 def _piece_values(text: str):
+    offset = before = 0
     for piece in _pieces(text):
         try:
-            yield list(map(int, piece.split()))
+            values = list(map(int, piece.split()))
         except ValueError:
-            yield _regex_values(piece)
-            if not all(map(itemgetter(1), _TOKEN.finditer(piece))):
+            yield (offset, before), _regex_values(piece)
+            tokens = list(map(itemgetter(1), _TOKEN.finditer(piece)))
+            if not all(tokens):
                 return    # a malformed token ends the values
+            before += len(tokens)
+        else:
+            yield (offset, before), values
+            before += len(values)
+        offset += len(piece)
 
 
 def _regex_values(text: str):
@@ -108,13 +117,22 @@ class _Numbers:
     The C-level ``_split_values`` reads them piece by piece, and the
     regex, the definition of a token, reads only the pieces that
     ``int`` cannot.  A token's (line, column) is worked out only for an
-    error.
+    error, by a scan that starts at ``mark``: the offset of the piece
+    being read and the count of values before it.
     """
 
     def __init__(self, text: str):
         self.text = text
-        self._values = _split_values(text) or _regex_values(text)
+        self.mark = (0, 0)
+        pieces = _split_values(text)
+        self._values = (_regex_values(text) if pieces is None
+                        else chain.from_iterable(self._marked(pieces)))
         self.taken = 0
+
+    def _marked(self, pieces):
+        for mark, values in pieces:
+            self.mark = mark
+            yield values
 
     def take(self, count: int) -> list[int]:
         """The next ``count`` values.  Fewer means a malformed token or
@@ -139,7 +157,8 @@ class _Numbers:
         return len(lines), len(lines[-1]) - len(m.group()) + 1
 
     def _match(self, i: int) -> re.Match | None:
-        return next(islice(_TOKEN.finditer(self.text), i, None), None)
+        offset, before = self.mark if i >= self.mark[1] else (0, 0)
+        return next(islice(_TOKEN.finditer(self.text, offset), i - before, None), None)
 
 
 def _header(nums: _Numbers, first: str, second: str) -> list[int]:

@@ -20,7 +20,9 @@ In both, bag k - 1 is the empty bag, which only the (k - 1)-letter
 words hold, and every other bag is larger.  No word shorter than k
 shares its profile with another word, so the search builds those words
 a whole level at a time, in code order, and never looks them up; the
-ones shorter than k - 1 letters get no key at all.
+ones shorter than k - 1 letters get no key at all.  Nor does a k-letter
+word, whose bag holds only itself: the k-letter words are keyed in one
+pass, all new, and only longer words are looked up.
 
 Appending a letter adds the factor ``suffix * A + letter``: the prefix
 stays, the suffix becomes the factor's last k - 1 letters, and the bag
@@ -66,13 +68,42 @@ from a semigroup's Cayley rows, whose last row is an identity adjoined
 for the empty word (``semigroups._cayley_fold``).  A step function
 (v, a) -> value may stand in for the rows; the search then calls it
 for every letter at every state.
+
+At t = 1, a "yes" can be settled without the search.  The callers pass
+the fold's product on its values when the semigroup is locally
+testable: every k-testable fold factors through A+ modulo equal
+k-profiles, which is locally testable (Brzozowski and Simon,
+Characterizations of locally testable events, 1973), and so is each
+quotient of it, so on any other semigroup the test below could only
+fail.  ``_loops_commute`` tests the de Bruijn loop condition, which
+holds exactly when every k-profile determines the value (proof sketch
+in its docstring).  Three facts keep the answer, state count included,
+equal to the search's:
+
+- A search that answers "yes" visits every k-profile once: every
+  profile is some word's, and the word's letters reach it.  So its
+  count is N(A, k), the number of k-profiles of the words over A
+  letters, whatever the fold; ``_profile_count`` counts them.
+- A search that meets no conflict answers "unknown" exactly when
+  N(A, k) > budget, with ``states`` = budget: it stops at the first
+  new state found with ``budget`` states already found.
+- A "no" keeps the search, so its witness and count do not change: it
+  runs whenever the condition fails, and also when weighing the
+  condition would take more products than the budget allows.
+
+The count keeps each bag as a bitmask of A**k bits, so the test is made
+only while bags are dense; past that bound, N(A, k) is far beyond any
+budget (above 2**33 over 33 letters at k = 2, the first past it), and
+the search, whose interned bags cost what their words hold, runs to
+its budget as before.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product as words_of_length
+from math import perm
 
 from .model import BadK
 
@@ -115,12 +146,125 @@ class _Lookup:
         return self.build(key)
 
 
+def _loops_commute(levels, product, size: int, alphabet_size: int, budget: int) -> bool:
+    """Does the loop condition below hold, at work within ``budget``?
+
+    ``levels[L]`` lists the values of the L-letter words by code, up to
+    L = k - 1, and ``product`` multiplies the values 0..size-1, each the
+    value of some word, a monoid whose identity is the empty word's
+    value.  For each (k - 1)-letter word u, of value c, let T_u be
+    S¹·c = {v·c for every value v} together with, for each period
+    p < k - 1 of u, the value of u's last p letters.  The condition:
+    c·X·X = c·X and c·X·Y = c·Y·X for all X and Y in T_u.  At k = 1,
+    u is the empty word and the condition says S is a commutative band.
+
+    It holds exactly when every k-profile (t = 1) determines the value.
+    A word of k - 1 letters or more is a path in the de Bruijn graph on
+    the (k - 1)-letter words, whose edges are the k-letter words; its
+    k-profile is the path's start, end and edge set.  A loop at u is a
+    word x with u·x ending in u: x = z·u for any word z (value in S¹·c),
+    or, when x is shorter than u, x is the last p = |x| letters of u and
+    p is a period of u.  So T_u is the set of values of loops at u.
+    Only if: u·x·x and u·x, and u·x·y and u·y·x, are paths from u to u
+    with one edge set, so they share their k-profile.  If: by Thérien
+    and Weiss (Graph congruences and wreath products, 1985), two
+    coterminal paths with one edge set are joined by steps x·x ↔ x and
+    x·y ↔ y·x on loops x and y at one vertex v.  A word that reaches v
+    is z·v, of value s·c_v with s the value of z, so the condition at v,
+    multiplied by s on the left and by the rest of the word on the
+    right, carries the value through every step.
+
+    Each distinct (c, period values) pair is scanned once.  The work,
+    len(distinct c) * size products for the sets S¹·c plus |T_u|**2 per
+    pair scanned, is weighed first; past ``budget`` the answer is False
+    and the caller searches as before, as it does when the test fails.
+    """
+    first = len(levels) - 1
+    level = levels[-1]
+    distinct = set(level)
+    work = len(distinct) * size
+    if work > budget:
+        return False
+    lefts = {c: {product(v, c) for v in range(size)} for c in distinct}
+    loops = {(level[code], frozenset(levels[p][code % alphabet_size ** p]
+                                     for p in range(1, first) if word[p:] == word[:-p]))
+             for code, word in enumerate(words_of_length(range(alphabet_size), repeat=first))}
+    sets = [(c, lefts[c] | tails) for c, tails in loops]
+    if work + sum(len(values) ** 2 for _, values in sets) > budget:
+        return False
+    for c, values in sets:
+        times = {x: product(c, x) for x in values}
+        for x, cx in times.items():
+            if product(cx, x) != cx:
+                return False
+            for y, cy in times.items():
+                if y < x and product(cx, y) != product(cy, x):
+                    return False
+    return True
+
+
+def _profile_count(alphabet_size: int, k: int, budget: int) -> int | None:
+    """N(A, k), the number of k-profiles (t = 1) of the words over A
+    letters, or None once it passes ``budget``.
+
+    A search that answers "yes" visits each of them once, whatever the
+    fold, so this is its state count.  The words shorter than k are
+    their own profiles.  Longer words are counted per (k - 1)-letter
+    prefix, by a breadth-first walk over (bag, suffix) pairs, level by
+    level, with the bag a bitmask of the factor codes seen, and no
+    values.  A permutation of the letters maps profiles to profiles, so
+    the walk starts only from prefixes whose letters first appear in the
+    order 0, 1, 2, ..., and counts each one times the size of its orbit,
+    A!/(A - m)! for m distinct letters.
+    """
+    span = alphabet_size ** (k - 1)
+    total = sum(alphabet_size ** length for length in range(k))
+    moves = [[(1 << factor, factor % span)
+              for factor in range(suffix * alphabet_size, (suffix + 1) * alphabet_size)]
+             for suffix in range(span)]
+    for prefix, weight in _orbit_representatives(alphabet_size, k - 1):
+        seen: dict[int, set[int]] = {}    # suffix -> the bags reached with it
+        level = {prefix: {0}}
+        while level:
+            reached: dict[int, set[int]] = {}
+            for suffix, bags in level.items():
+                for bit, after in moves[suffix]:
+                    reached.setdefault(after, set()).update(map(bit.__or__, bags))
+            level = {}
+            for after, bags in reached.items():
+                old = seen.setdefault(after, set())
+                new = bags - old    # walks bags, however large old has grown
+                if new:
+                    old |= new
+                    level[after] = new
+                    total += weight * len(new)
+                    if total > budget:
+                        return None
+    return total
+
+
+def _orbit_representatives(alphabet_size: int, length: int) -> list[tuple[int, int]]:
+    """(code, orbit size) of each word of ``length`` letters whose
+    letters first appear in the order 0, 1, 2, ...; the orbit sizes sum
+    to A**length."""
+    words = [(0, 0)]    # (code, distinct letters)
+    for _ in range(length):
+        words = [(code * alphabet_size + letter, max(used, letter + 1))
+                 for code, used in words for letter in range(min(used + 1, alphabet_size))]
+    return [(code, perm(alphabet_size, used)) for code, used in words]
+
+
 def profile_determines(initial, rows, alphabet_size: int, k: int, t: int = 1,
-                       budget: int = DEFAULT_BUDGET) -> OracleResult:
+                       budget: int = DEFAULT_BUDGET, product=None) -> OracleResult:
     """Does the k-profile of a word determine its folded value?
 
     The fold starts at ``initial``, and letter a leads from value v to
     ``rows[v][a]``; ``rows`` may also be a step function (v, a) -> value.
+    ``product``, when given with a table at t = 1, multiplies the values
+    0..len(rows)-1, which the caller promises form a monoid with
+    ``initial`` as identity; while bags are dense, a "yes" is then
+    settled by ``_loops_commute`` and ``_profile_count`` without a
+    search.
 
     Runs a breadth-first closure of (profile, value) pairs.  Profiles
     are numbered in discovery order, so the queue is a walk over those
@@ -131,8 +275,9 @@ def profile_determines(initial, rows, alphabet_size: int, k: int, t: int = 1,
     parent links.  Reaching ``budget`` states before the search settles
     gives "unknown", at once if the words shorter than k alone are more.
 
-    Those words fill whole levels and are never looked up; from the
-    (k - 1)-letter words on, a state is its key, and a step takes one of
+    Those words fill whole levels and are never looked up, and the
+    k-letter words are keyed in one pass ("unknown" if they pass the
+    budget); from them on, a state is its key, and a step takes one of
     the moves ``moves[key & field]`` (layout in the module docstring).
     """
     if alphabet_size < 1:
@@ -147,6 +292,8 @@ def profile_determines(initial, rows, alphabet_size: int, k: int, t: int = 1,
     if short > budget:
         return OracleResult("unknown", None, budget)
     letters = range(alphabet_size)
+    direct = (product is not None and t == 1 and not callable(rows)
+              and alphabet_size ** k <= DENSE_BAG_BITS)
     if callable(rows):
         step = rows
         rows = _Lookup(lambda value: [step(value, letter) for letter in letters])
@@ -155,16 +302,15 @@ def profile_determines(initial, rows, alphabet_size: int, k: int, t: int = 1,
     sbits = (span - 1).bit_length()
     suffix_mask = (1 << sbits) - 1
 
-    parent = [0]    # pid * alphabet_size + letter of the step that found a state
-    level = [initial]
+    levels = [[initial]]
     for _ in range(first):
-        parent.extend(range((len(parent) - len(level)) * alphabet_size,
-                            len(parent) * alphabet_size))
-        level = list(chain.from_iterable(map(rows.__getitem__, level)))
-    # a (k - 1)-letter word's prefix and suffix fields both hold its code
-    keys = [first << 2 * sbits | code << sbits | code for code in range(span)]
-    values = level
-    base = short - span    # the id of keys[0]
+        levels.append(list(chain.from_iterable(map(rows.__getitem__, levels[-1]))))
+    if direct and _loops_commute(levels, product, len(rows), alphabet_size, budget):
+        count = _profile_count(alphabet_size, k, budget)
+        return OracleResult("unknown", None, budget) if count is None else \
+            OracleResult("yes", None, count)
+    if short + span * alphabet_size > budget:
+        return OracleResult("unknown", None, budget)
 
     width = _slot_width(alphabet_size, k, t)
     if width:
@@ -220,10 +366,19 @@ def profile_determines(initial, rows, alphabet_size: int, k: int, t: int = 1,
             out.append(letter)
         return tuple(reversed(out))
 
-    seen = {}    # key -> value, for the words of k letters or more
+    # The k-letter words: no two share a profile, so all are new.  A
+    # (k - 1)-letter word's prefix and suffix fields both hold its code.
+    keys = [(key if key & slot == full else key + unit) + shift
+            for key in (first << 2 * sbits | code << sbits | code for code in range(span))
+            for slot, full, unit, shift, _ in moves[key & field]]
+    values = list(chain.from_iterable(map(rows.__getitem__, levels[-1])))
+    seen = dict(zip(keys, values))    # key -> value, for the words of k letters or more
+    # Words of at most k letters are numbered by length, then code, so
+    # the parent link pid * alphabet_size + letter of each is its id less one.
+    found = short + len(keys)
+    parent = list(range(-1, found - 1))
     missing = object()
-    found = short
-    link = (base - 1) * alphabet_size
+    link = (short - 1) * alphabet_size
     for key, value in zip(keys, values):
         link += alphabet_size
         for (slot, full, unit, shift, letter), reached in zip(moves[key & field], rows[value]):
@@ -239,6 +394,6 @@ def profile_determines(initial, rows, alphabet_size: int, k: int, t: int = 1,
                 parent.append(link + letter)
             elif old != reached:
                 pid = link // alphabet_size
-                witness = (word_of(base + keys.index(target)), word_of(pid) + (letter,))
+                witness = (word_of(short + keys.index(target)), word_of(pid) + (letter,))
                 return OracleResult("no", witness, found)
     return OracleResult("yes", None, found)

@@ -389,6 +389,17 @@ def _cayley_fold(s: FiniteSemigroup, columns):
     return s.element_count, table
 
 
+def _fold_product(s: FiniteSemigroup, t: int):
+    """The product on ``_cayley_fold``'s values, ``element_count`` the
+    adjoined identity, with which ``profile_determines`` settles a "yes"
+    at t = 1 without a search; None at t > 1, and when ``s`` is not
+    locally testable, since then no window fits (see the oracle module)."""
+    if t > 1 or _check(s, LOCAL_TESTABILITY).holds != YES:
+        return None
+    one, prod = s.element_count, s.prod
+    return lambda x, y: y if x == one else x if y == one else prod(x, y)
+
+
 def _order_search(s: FiniteSemigroup, columns, k_max: int, t: int,
                   budget: int) -> OrderResult:
     """Least window length k <= k_max whose k-profile determines the
@@ -401,9 +412,10 @@ def _order_search(s: FiniteSemigroup, columns, k_max: int, t: int,
     if k_max < 1:
         raise BadK(f"largest window length {k_max} must be at least 1")
     initial, table = _cayley_fold(s, columns)
+    product = _fold_product(s, t)
     states = 0
     for k in range(1, k_max + 1):
-        res = profile_determines(initial, table, len(columns), k, t, budget)
+        res = profile_determines(initial, table, len(columns), k, t, budget, product)
         states = res.states
         if res.status == "yes":
             return OrderResult("found", k, t, k_max, k - 1, states,

@@ -637,3 +637,34 @@ def test_criterion_17_graph_path_memory():
     print(f"PASS criterion 17: the 40,000-node graph parsed and checked for LT at "
           f"{parse_peak / 1e6:.1f} MB traced peak < 6 MB, and built as a product at "
           f"{product_peak / 1e6:.1f} MB < 4.5 MB")
+
+
+def test_criterion_18_zero_semigroups_settle_their_order_without_a_search(tmp_path, capsys):
+    # The right-zero and the left-zero semigroup on 4 generators: a word
+    # folds to its last or its first letter, so the order is 2, and a
+    # "yes" at k = 2 covers all 442,393 two-profiles of words over four
+    # letters.  The loop condition settles that "yes", and the profiles
+    # are counted without values, so the traced peak stays far below a
+    # search that keeps them (62.6 MB).
+    bounds = []
+    for name, s in (("right-zero", rectangular_band(1, 4)), ("left-zero", rectangular_band(4, 1))):
+        path = tmp_path / f"{name}.sg"
+        path.write_text(write_semigroup(s))
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            code = main(["analyze-semigroup", str(path), "--order", "--format", "machine"])
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert {"order.status = found", "order.k = 2", "order.states = 442393"} <= set(lines)
+        assert peak < 25e6, f"{name}: peak {peak / 1e6:.1f} MB"
+        assert elapsed < 10.0
+        bounds.append(f"{name} {peak / 1e6:.1f} MB in {elapsed:.2f}s")
+    with capsys.disabled():
+        print(f"PASS criterion 18: --order finds k = 2 over 442,393 profile states at "
+              f"{' and '.join(bounds)}, traced, < 25 MB and 10s")

@@ -1,10 +1,11 @@
 """Source hygiene: no module of the package imports a name it never
 uses, anything from the tests or the benchmark, or anything outside the
 standard library, directly or at run time; no function assigns a local
-it never reads, and no module reads a graph's row view; the public
-surface is exactly what ``__init__`` imports; every name the
-benchmark's tracer wraps still exists; the README's Library section
-names only what the package exports."""
+it never reads, and no module reads a graph's row view; no state is
+kept from one call to the next; the public surface is exactly what
+``__init__`` imports; every name the benchmark's tracer wraps still
+exists; the README's Library section names only what the package
+exports."""
 
 import ast
 import dataclasses
@@ -130,6 +131,47 @@ def _dead_locals(path):
 def test_no_local_is_assigned_and_never_read():
     dead = [d for path in sorted(PACKAGE.glob("*.py")) for d in _dead_locals(path)]
     assert dead == []
+
+
+_CACHES = {"cache", "lru_cache"}
+_MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+_MUTABLE_TYPES = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_caches_across_calls(path):
+    """No ``functools.cache`` or ``lru_cache``: a memo that outlives a
+    call would speed up only a repeated call, which a benchmark that
+    repeats its calls in one process would count as a gain."""
+    tree = ast.parse(path.read_text())
+    caches = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module == "functools"
+              and _CACHES & {alias.name for alias in node.names}
+              or isinstance(node, ast.Attribute) and node.attr in _CACHES
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"]
+    assert caches == [], f"{path.name} caches across calls on lines {caches}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_mutable_state(path):
+    """No dict, list or set is bound at module level to a lowercase name;
+    constant tables are spelled in capitals, and dunders such as
+    ``__all__`` are module protocol."""
+    tree = ast.parse(path.read_text())
+    state = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+            continue
+        value = node.value
+        mutable = isinstance(value, _MUTABLE_DISPLAYS) or (
+            isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id in _MUTABLE_TYPES)
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [n.id for target in targets for n in ast.walk(target)
+                 if isinstance(n, ast.Name)]
+        state += [f"{name} (line {node.lineno})" for name in names
+                  if mutable and name != name.upper() and not name.startswith("__")]
+    assert state == [], f"{path.name} keeps module-level state: {state}"
 
 
 def test_all_lists_each_imported_name_once():

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from functools import partial
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
@@ -185,14 +186,17 @@ def test_parse_write_round_trip_gives_the_cell_by_cell_bytes():
 
 
 class _CountingPattern:
-    """Stands in for ``_TOKEN``, counting the passes over one text."""
+    """Stands in for ``_TOKEN``, counting the passes over one text and
+    keeping the offset each one starts at."""
 
     def __init__(self, pattern, text):
-        self.pattern, self.text, self.passes = pattern, text, 0
+        self.pattern, self.text, self.passes, self.starts = pattern, text, 0, []
 
-    def finditer(self, text):
-        self.passes += text == self.text
-        return self.pattern.finditer(text)
+    def finditer(self, text, pos=0):
+        if text == self.text:
+            self.passes += 1
+            self.starts.append(pos)
+        return self.pattern.finditer(text, pos)
 
 
 @pytest.mark.parametrize("where", ["header", "middle", "last"])
@@ -212,6 +216,31 @@ def test_a_bad_token_is_found_by_one_pass_over_the_text(monkeypatch, where):
     assert spy.passes == 1
     assert (exc.value.line, exc.value.token) == (line + 1, "1x")
     assert exc.value.column == len(lines[line]) - 1
+
+
+@pytest.mark.parametrize("where", ["middle", "last"])
+@pytest.mark.parametrize("comment", [False, True])
+def test_a_bad_token_scan_starts_at_its_piece(monkeypatch, where, comment):
+    """The split pass stops at the piece that holds a malformed token,
+    and the scan that places the token starts there, counting the values
+    before it, so a bad token near the end of a large file is not found
+    by a scan from the start.  A comment in the first piece sends that
+    piece through the regex and leaves the count unchanged."""
+    gr = random_graph(seeded("bad-token-piece"), 3000, 2)
+    lines = write_graph(gr).splitlines()
+    line = {"middle": 1500, "last": len(lines) - 1}[where]
+    lines[line] = lines[line].rsplit(" ", 1)[0] + " 1x"
+    text = ("# a comment\n" if comment else "") + "\n".join(lines) + "\n"
+    at = text.index(" 1x\n") + 1
+    starts = list(accumulate(map(len, io_formats._pieces(text)), initial=0))
+    piece = max(s for s in starts if s <= at)
+    assert piece > len(text) // 3 and at - piece < 2 * 1024
+    spy = _CountingPattern(io_formats._TOKEN, text)
+    monkeypatch.setattr(io_formats, "_TOKEN", spy)
+    with pytest.raises(BadToken) as exc:
+        parse_graph(text)
+    assert spy.starts == [piece]
+    assert (exc.value.line, exc.value.token) == (line + 1 + comment, "1x")
 
 
 _COMMENT = st.text(alphabet="abcxyz#;!-=", min_size=1, max_size=6)

@@ -5,12 +5,15 @@ The folds here are step functions, as the references take them; the
 package reads each one as its table of rows, through ``search``."""
 
 import tracemalloc
+from collections import Counter
+from itertools import product as iter_product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from testability import (
     BadK,
+    FiniteSemigroup,
     TransitionGraph,
     analyze_graph,
     analyze_semigroup,
@@ -19,8 +22,9 @@ from testability import (
 )
 from testability import graphs, oracle, semigroups
 from tests import naive
-from tests.corpus import (fixtures, random_graph, random_partial_graph, seeded,
-                          semigroup_zoo, small_transformation_semigroups)
+from tests.corpus import (fixtures, free_semilattice, left_zero, random_graph,
+                          random_partial_graph, right_zero, seeded, semigroup_zoo,
+                          small_transformation_semigroups)
 from tests.naive import brute_force_scan
 
 FIX = fixtures()
@@ -424,3 +428,195 @@ def test_search_memory_is_bounded_by_the_words():
         tracemalloc.stop()
     assert (res.status, res.states) == ("unknown", 20_000)
     assert peak < MEMORY_BOUND_MB * 1e6, f"peak {peak / 1e6:.1f} MB"
+
+
+# --- the product route: a "yes" settled without a search -------------------
+
+def _lt(s):
+    return semigroups._check(s, semigroups.LOCAL_TESTABILITY).holds == "yes"
+
+
+# Two-letter graphs, from a seeded scan, whose transition semigroups are
+# locally testable and fail the loop condition at k = 4 (both) and
+# k = 5 (the second) only on a loop shorter than its (k - 1)-letter
+# word, at a period of 2 or more.
+SHORT_LOOP_GRAPHS = (
+    ((4, 2), (6, 6), (4, 6), (1, 6), (6, 3), (5, 0), (6, 6)),
+    ((3, 3), (1, 1), (3, 3), (5, 1), (4, 0), (1, 3), (4, 2)),
+)
+
+
+def _monogenic(m):
+    """a, a**2, ..., a**m with a**(m+1) = a**m: a fold on one letter
+    whose order is m, settled at k < m only by the loop a at a**(k-1)."""
+    return FiniteSemigroup(tuple((min(x + 1, m - 1),) for x in range(m)))
+
+
+def _product_folds():
+    """(semigroup, columns) of graph folds (seeded ones on 1-5 nodes over
+    1-3 letters, some partial, and ``SHORT_LOOP_GRAPHS``) and of
+    semigroup folds: the zoo, small transformation semigroups, free
+    semilattices, zero semigroups and monogenic ones.  Both locally
+    testable ones and others."""
+    rng = seeded("product-route")
+    grs = [(random_partial_graph if rng.random() < 0.3 else random_graph)(
+        rng, rng.randrange(1, 6), rng.randrange(1, 4)) for _ in range(60)]
+    grs += [TransitionGraph(2, len(delta), delta) for delta in SHORT_LOOP_GRAPHS]
+    for gr in grs:
+        ts = graphs.transition_semigroup(complete_with_sink(gr))
+        yield ts.semigroup, ts.label_to_generator
+    for s in (semigroup_zoo() + small_transformation_semigroups()
+              + [free_semilattice(2), free_semilattice(3), left_zero(2), right_zero(2)]
+              + [_monogenic(m) for m in range(1, 6)]):
+        yield s, range(s.generator_count)
+
+
+def test_the_product_route_equals_the_search():
+    """With the fold's product, ``profile_determines`` gives the search's
+    status, witness and state count, and those of the reference search
+    where it is cheap, on locally testable folds and others, at every
+    k up to 5 and budgets that stop it before, at and after the end
+    (75,000 holds the 74,461 states of two letters at k = 4)."""
+    seen = set()
+    for s, columns in _product_folds():
+        initial, table = semigroups._cayley_fold(s, columns)
+        product = semigroups._fold_product(s, 1)
+        assert (product is not None) == _lt(s)
+        a = len(columns)
+        for k in range(1, 6):
+            for budget in (40, 700, 3000, 75_000)[:3 + (k < 5)]:
+                plain = profile_determines(initial, table, a, k, 1, budget)
+                res = profile_determines(initial, table, a, k, 1, budget, product)
+                assert res == plain, (s, k, budget)
+                if budget <= 700:
+                    step = (lambda v, j, table=table: table[v][j])
+                    assert res == naive.profile_search(initial, step, a, k, 1, budget)
+                seen.add((product is not None, res.status))
+    assert seen == {(lt, status) for lt in (True, False) for status in ("yes", "no", "unknown")} \
+        - {(False, "yes")}
+
+
+@pytest.mark.parametrize("a, k, states", [(2, 4, 74_461), (3, 2, 1_615), (4, 2, 442_393)])
+def test_the_product_route_around_the_readme_rows(a, k, states):
+    """A budget one short of the state count gives "unknown" at the
+    budget; at the count and one past it, "yes" with the count; as the
+    search does, which the smaller rows also check directly."""
+    def constant(x, y):
+        return 0
+
+    for budget, want in ((states - 1, ("unknown", None, states - 1)),
+                         (states, ("yes", None, states)),
+                         (states + 1, ("yes", None, states))):
+        res = profile_determines(0, [[0] * a], a, k, 1, budget, constant)
+        assert (res.status, res.witness, res.states) == want
+        if states < 100_000:
+            assert res == profile_determines(0, [[0] * a], a, k, 1, budget)
+
+
+@pytest.mark.parametrize("a", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_profile_count_equals_the_constant_fold_search(a, k):
+    """N(A, k) is the state count of a search on a fold that never tells
+    two words apart, and None exactly when that search runs out."""
+    for budget in (1_000, 20_000):
+        res = profile_determines(0, [[0] * a], a, k, 1, budget)
+        count = oracle._profile_count(a, k, budget)
+        assert (res.status, res.states) == (("yes", count) if count is not None
+                                            else ("unknown", budget)), budget
+
+
+def _first_appearance_form(word):
+    names = {}
+    return tuple(names.setdefault(letter, len(names)) for letter in word)
+
+
+@pytest.mark.parametrize("a", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 4])
+def test_orbit_representatives_partition_the_words(a, length):
+    """Each word is a letter permutation of exactly one representative,
+    whose letters first appear in the order 0, 1, 2, ..., and each
+    representative stands for A!/(A - m)! words: the sizes sum to
+    A**length."""
+    reps = dict(oracle._orbit_representatives(a, length))
+    assert sum(reps.values()) == a ** length
+    orbits = Counter()
+    for code, word in enumerate(iter_product(range(a), repeat=length)):
+        form = _first_appearance_form(word)
+        orbits[sum(letter * a ** (length - 1 - i) for i, letter in enumerate(form))] += 1
+        if form == word:
+            assert code in reps
+    assert orbits == reps
+
+
+def test_the_work_bound_sends_the_call_back_to_the_search(monkeypatch):
+    """The free semilattice on 3 at k = 1: the loop condition holds, and
+    weighing it takes 8 products for S¹ and 64 for its pairs.  Under
+    that budget the search runs, and answers as the count would."""
+    counted = []
+
+    def spy(*args):
+        counted.append(args)
+        return count(*args)
+
+    count = oracle._profile_count
+    monkeypatch.setattr(oracle, "_profile_count", spy)
+    s = free_semilattice(3)
+    initial, table = semigroups._cayley_fold(s, range(3))
+    product = semigroups._fold_product(s, 1)
+    for budget, direct in ((71, False), (72, True)):
+        counted.clear()
+        res = profile_determines(initial, table, 3, 1, 1, budget, product)
+        assert (res.status, res.states) == ("yes", 8)
+        assert bool(counted) == direct, budget
+
+
+def test_the_loop_condition_runs_only_on_locally_testable_folds_at_t1(monkeypatch):
+    """The callers hand the product over only at t = 1 and only for a
+    locally testable semigroup, and the oracle uses it only then."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return loops_commute(*args)
+
+    loops_commute = oracle._loops_commute
+    monkeypatch.setattr(oracle, "_loops_commute", spy)
+    ran = Counter()
+    rng = seeded("loop-condition-spy")
+    for _ in range(40):
+        gr = random_graph(rng, rng.randrange(1, 5), rng.randrange(1, 3))
+        for t in (1, 2):
+            calls.clear()
+            report = analyze_graph(gr, (), k=rng.randrange(1, 4), t=t, order=True, k_max=3)
+            lt = _lt(graphs.transition_semigroup(complete_with_sink(gr)).semigroup)
+            assert not calls or (lt and t == 1), (gr.delta, t)
+            ran[bool(calls), lt, t] += 1
+            assert report.order is not None
+    for s in semigroup_zoo() + small_transformation_semigroups():
+        calls.clear()
+        analyze_semigroup(s, (), order=True, k_max=3)
+        assert not calls or _lt(s)
+        ran[bool(calls), _lt(s), 1] += 1
+    # a step function at t = 1 with a product is searched too
+    calls.clear()
+    profile_determines(0, lambda v, a: 0, 2, 2, 1, 1000, lambda x, y: 0)
+    assert calls == []
+    assert ran[True, True, 1] and ran[False, False, 1] and ran[False, True, 2]
+
+
+def test_the_product_route_stays_within_dense_bags(monkeypatch):
+    """The count keeps bags as bitmasks of A**k bits, so past the dense
+    bound the loop condition is not tried and the search runs."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return loops_commute(*args)
+
+    loops_commute = oracle._loops_commute
+    monkeypatch.setattr(oracle, "_loops_commute", spy)
+    for bound, tried in ((16, True), (15, False)):
+        monkeypatch.setattr(oracle, "DENSE_BAG_BITS", bound)
+        calls.clear()
+        res = profile_determines(0, [[0] * 4], 4, 2, 1, 1_000, lambda x, y: 0)
+        assert (res.status, res.states, bool(calls)) == ("unknown", 1_000, tried)
