@@ -12,8 +12,9 @@ graphs and semigroups and the graph-to-semigroup construction.
 from .graphs import (K_TESTABILITY, TransitionSemigroup, analyze_graph,
                      complete_with_sink, letter_transformations, transition_semigroup)
 from .io_formats import (BadToken, CellOutOfRange, HeaderInconsistent,
-                         NonpositiveHeader, ParseError, TooFewNumbers, parse_graph,
-                         parse_semigroup, render_report, write_graph, write_semigroup)
+                         NonpositiveHeader, NumberTooLong, ParseError, TooFewNumbers,
+                         parse_graph, parse_semigroup, render_report, write_graph,
+                         write_semigroup)
 from .model import (NO, UNDEFINED, UNKNOWN, YES, BadK,
                     FiniteSemigroup, IncompleteInput, NotAssociative, NotGenerated,
                     NotIdempotent, OrderResult, PropertyReport, TransitionGraph,
@@ -40,7 +41,8 @@ __all__ = [
     "FiniteSemigroup", "HeaderInconsistent", "IncompleteInput",
     "K_TESTABILITY", "LEFT_LOCAL_TESTABILITY", "LOCAL_IDEMPOTENCE",
     "LOCAL_PROPERTIES", "LOCAL_TESTABILITY", "NO", "NonpositiveHeader",
-    "NotAssociative", "NotGenerated", "NotIdempotent", "ONE_TESTABILITY",
+    "NotAssociative", "NotGenerated", "NotIdempotent", "NumberTooLong",
+    "ONE_TESTABILITY",
     "OracleResult", "OrderResult", "PIECEWISE_TESTABILITY", "ParseError",
     "PropertyReport", "RIGHT_LOCAL_TESTABILITY",
     "STRICT_LOCAL_TESTABILITY", "THRESHOLD_LOCAL_TESTABILITY", "TooFewNumbers",

@@ -6,14 +6,16 @@ row-major (one row per node, -1 for a missing transition); a semigroup
 starts with "element_count generator_count" followed by the Cayley rows
 (element times generator).  Any token containing no decimal digit is a
 comment and is skipped; a token mixing digits with anything else is an
-error.  Extra integers after the table are ignored.
+error, and so is a number too long for ``int`` in the header or table.
+Tokens after the table are never read, so they are ignored whatever
+they hold.  ``_Numbers`` reads the text in one lazy pass, about 1,000
+characters at a time, and locates a token only to report an error.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain, islice, takewhile
-from operator import itemgetter
+from itertools import chain, islice
 
 from .model import (NO, UNKNOWN, FiniteSemigroup, NotAssociative, PropertyReport,
                     TransitionGraph, UNDEFINED, format_word)
@@ -53,6 +55,11 @@ class CellOutOfRange(ParseError):
     """A table cell outside the range the header allows."""
 
 
+class NumberTooLong(ParseError):
+    """A header value or table cell of more digits than ``int`` converts
+    (4,300 on recent Pythons); the message gives its digit count only."""
+
+
 # A whitespace-separated token containing a digit.  Group 1 holds it
 # when it is an integer and is None when it mixes digits with other
 # characters; digitless tokens (comments) never match.
@@ -60,105 +67,85 @@ _TOKEN = re.compile(r"(?<!\S)(?:(-?\d+)(?!\S)|\S*\d\S*)")
 
 
 def _pieces(text: str, size: int = 1 << 10):
-    """``text`` cut at spaces into pieces of about ``size`` characters,
-    which split into the text's tokens one piece at a time."""
+    """(start, end) bounds that cut ``text`` at spaces into pieces of
+    about ``size`` characters, which split into the text's tokens one
+    piece at a time."""
     start = 0
     while start < len(text):
         end = text.find(" ", start + size)
         if end < 0:
             end = len(text)
-        yield text[start:end]
+        yield start, end
         start = end
-
-
-def _split_values(text: str):
-    """A text's values, converted by ``int`` from its split tokens a
-    piece at a time; None if it holds ``+`` or ``_``, which ``int``
-    accepts and ``_TOKEN`` does not.
-
-    A piece that ``int`` cannot read whole (it holds a comment, a
-    malformed token or a value past ``int``'s digit limit) is read by
-    ``_regex_values`` instead.  The pieces after it go back to the split
-    pass, unless a malformed token ended the values there.  Each piece's
-    values come with its mark: its offset and the count of values before
-    it.
-    """
-    if "+" in text or "_" in text:
-        return None
-    return _piece_values(text)
-
-
-def _piece_values(text: str):
-    offset = before = 0
-    for piece in _pieces(text):
-        try:
-            values = list(map(int, piece.split()))
-        except ValueError:
-            yield (offset, before), _regex_values(piece)
-            tokens = list(map(itemgetter(1), _TOKEN.finditer(piece)))
-            if not all(tokens):
-                return    # a malformed token ends the values
-            before += len(tokens)
-        else:
-            yield (offset, before), values
-            before += len(values)
-        offset += len(piece)
-
-
-def _regex_values(text: str):
-    """The values of a text's numeric tokens before the first malformed
-    one, from one lazy ``_TOKEN`` pass."""
-    return map(int, takewhile(bool, map(itemgetter(1), _TOKEN.finditer(text))))
 
 
 class _Numbers:
     """The numeric tokens of a text, handed out front to back.
 
-    The C-level ``_split_values`` reads them piece by piece, and the
-    regex, the definition of a token, reads only the pieces that
-    ``int`` cannot.  A token's (line, column) is worked out only for an
-    error, by a scan that starts at ``mark``: the offset of the piece
-    being read and the count of values before it.
+    One lazy pass reads the text a piece at a time, one list of values
+    per piece.  ``int`` converts a piece's split tokens in one C-level
+    pass, unless the piece holds ``+`` or ``_`` (``int`` accepts them,
+    the format does not) or a token ``int`` rejects: then ``_TOKEN``,
+    the definition of a token, reads that piece alone.  A malformed
+    token, or a number too long for ``int``, ends the values, and its
+    match is kept in ``stop`` to be reported if the table reaches it.
     """
 
     def __init__(self, text: str):
         self.text = text
-        self.mark = (0, 0)
-        pieces = _split_values(text)
-        self._values = (_regex_values(text) if pieces is None
-                        else chain.from_iterable(self._marked(pieces)))
-        self.taken = 0
+        self.stop = None
+        self._values = chain.from_iterable(self._read())
 
-    def _marked(self, pieces):
-        for mark, values in pieces:
-            self.mark = mark
+    def _read(self):
+        text = self.text
+        for start, end in _pieces(text):
+            piece = text[start:end]
+            if "+" not in piece and "_" not in piece:
+                try:
+                    values = list(map(int, piece.split()))
+                except ValueError:
+                    pass    # a comment, a malformed token or a long number
+                else:
+                    yield values
+                    continue
+            values = []
+            for m in _TOKEN.finditer(text, start, end):
+                try:
+                    values.append(int(m[1]))
+                except (TypeError, ValueError):    # malformed (m[1] is None), or too long
+                    self.stop = m
+                    break
             yield values
+            if self.stop:
+                return
 
     def take(self, count: int) -> list[int]:
-        """The next ``count`` values.  Fewer means a malformed token or
-        the end of the text came first; the caller then ends the parse
-        through ``missing``, which says which."""
-        values = list(islice(self._values, count))
-        self.taken += len(values)
-        return values
+        """The next ``count`` values.  Fewer means a malformed token, a
+        number too long or the end of the text came first; the caller
+        then ends the parse through ``missing``, which says which.  No
+        text holds more values than characters, so a larger count (a
+        header's product past ``islice``'s range) asks for them all."""
+        return list(islice(self._values, min(count, len(self.text))))
 
     def missing(self, what: str):
-        """Raise for the token after the last one taken."""
-        m = self._match(self.taken)
+        """Raise for the token after the last value taken: the kept match,
+        or the end of the text."""
+        m = self.stop
         if m is None:
             raise TooFewNumbers(f"input ended while reading {what}")
-        raise BadToken(f"token {m.group()!r} mixes digits and other characters",
-                       *self.where(self.taken, m), m.group())
+        if m[1] is None:
+            raise BadToken(f"token {m[0]!r} mixes digits and other characters",
+                           *self.where(m), m[0])
+        raise NumberTooLong(f"number of {len(m[1].lstrip('-'))} digits is too long",
+                            *self.where(m), m[0])
 
-    def where(self, i: int, m: re.Match | None = None) -> tuple[int, int]:
-        """(line, column), from 1, of numeric token i, whose match may be given."""
-        m = m or self._match(i)
+    def where(self, m: int | re.Match) -> tuple[int, int]:
+        """(line, column), from 1, of a token's match, or of numeric token
+        ``m``, found by one scan from the start."""
+        if isinstance(m, int):
+            m = next(islice(_TOKEN.finditer(self.text), m, None))
         lines = self.text[:m.end()].splitlines()
-        return len(lines), len(lines[-1]) - len(m.group()) + 1
-
-    def _match(self, i: int) -> re.Match | None:
-        offset, before = self.mark if i >= self.mark[1] else (0, 0)
-        return next(islice(_TOKEN.finditer(self.text, offset), i - before, None), None)
+        return len(lines), len(lines[-1]) - len(m[0]) + 1
 
 
 def _header(nums: _Numbers, first: str, second: str) -> list[int]:
@@ -170,14 +157,14 @@ def _header(nums: _Numbers, first: str, second: str) -> list[int]:
 
 def _cells(nums: _Numbers, count: int, low: int, high: int, noun: str,
            unit: str) -> list[int]:
-    """The next ``count`` values, all in low..high; the first cell out of
-    range is reported before a malformed token or a short input."""
-    start = nums.taken
+    """The ``count`` values after the header, all in low..high; the first
+    cell out of range is reported before a malformed token or a short
+    input."""
     cells = nums.take(count)
     if cells and not (low <= min(cells) and max(cells) <= high):
         i = next(i for i, v in enumerate(cells) if not low <= v <= high)
         raise CellOutOfRange(f"{noun} {cells[i]} outside {low}..{high}",
-                             *nums.where(start + i), str(cells[i]))
+                             *nums.where(2 + i), str(cells[i]))
     if len(cells) < count:
         nums.missing(f"{unit} {len(cells) + 1} of {count}")
     return cells

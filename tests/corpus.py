@@ -41,6 +41,20 @@ def fixtures() -> FixtureSet:
     )
 
 
+# A numeral past int()'s default digit limit (4,300 digits).
+LONG_NUMERAL = "9" * 5000
+
+
+def int_refuses(numeral: str) -> bool:
+    """Whether ``int`` refuses a well-formed numeral: False where it has
+    no digit limit (before Python 3.10.7)."""
+    try:
+        int(numeral)
+    except ValueError:
+        return True
+    return False
+
+
 def seeded(name: str) -> random.Random:
     return random.Random(f"testability:{name}")
 

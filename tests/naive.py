@@ -10,7 +10,9 @@ profile oracle's breadth-first search with each state keyed by it,
 which the integer-keyed search must match state for state, and
 ``brute_force_scan`` groups every short word by it.  Both fold words by
 a step function; ``fold_rows`` hands the same fold to the package as
-the table of rows it reads.  Deliberately slow; meant for small inputs.
+the table of rows it reads.  ``numbers`` reads a number file token by
+token, from the format's definition of a token.  Deliberately slow;
+meant for small inputs.
 """
 
 from __future__ import annotations
@@ -402,6 +404,35 @@ def check_one_testable(table, g):
             if table[u][v] != table[v][u]:
                 return "no", (u, v)
     return "yes", None
+
+
+def numbers(text):
+    """The values of a number file's tokens, read one token at a time,
+    and the token that ended them.
+
+    A token is a run of non-space characters.  One with no decimal digit
+    is a comment; one that is ``-`` and decimal digits, or decimal digits
+    only, is an integer.  Any other token, or an integer ``int`` refuses
+    (too many digits), ends the values.  Returns (values, stop): stop is
+    (token, line, column), from 1, for the token that ended the values,
+    or None when the text ran out.
+    """
+    values = []
+    for line, row in enumerate(text.splitlines(), 1):
+        end = 0
+        for token in row.split():
+            start = row.index(token, end)
+            end = start + len(token)
+            if not any(c.isdecimal() for c in token):
+                continue
+            if token.removeprefix("-").isdecimal():
+                try:
+                    values.append(int(token))
+                    continue
+                except ValueError:
+                    pass
+            return values, (token, line, start + 1)
+    return values, None
 
 
 def word_action(gr, word):

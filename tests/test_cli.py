@@ -4,7 +4,8 @@ import pytest
 
 from testability import write_graph, write_semigroup
 from testability.cli import main
-from tests.corpus import fixtures
+from tests.corpus import (LONG_NUMERAL, fixtures, int_refuses, random_graph, seeded,
+                          semigroup_zoo)
 
 FIX = fixtures()
 
@@ -120,6 +121,81 @@ def test_parse_error_exit(files, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "error: line 2, column 3" in err
+
+
+@pytest.mark.skipif(not int_refuses(LONG_NUMERAL), reason="int() has no digit limit here")
+@pytest.mark.parametrize("command, text, where", [
+    ("analyze-graph", f"1 {LONG_NUMERAL}\n1\n0\n", "line 1, column 3"),
+    ("analyze-graph", f"1 2\n{LONG_NUMERAL}\n0\n", "line 2, column 1"),
+    ("analyze-semigroup", f"{LONG_NUMERAL} 1\n1\n0\n", "line 1, column 1"),
+    ("analyze-semigroup", f"2 1\n1\n-{LONG_NUMERAL}\n", "line 3, column 1"),
+], ids=["graph-header", "graph-table", "semigroup-header", "semigroup-table"])
+def test_a_number_too_long_exits_2(tmp_path, capsys, command, text, where):
+    """A header value or cell too long for ``int`` exits 2 with one
+    error line; after the table it is ignored."""
+    path = tmp_path / "long.txt"
+    path.write_text(text)
+    code = main([command, str(path)])
+    assert capsys.readouterr().err == f"error: {where}: number of 5000 digits is too long\n"
+    assert code == 2
+    table = "1 2\n1\n0" if command == "analyze-graph" else "2 1\n1\n0"
+    path.write_text(f"{table} {LONG_NUMERAL}\n{LONG_NUMERAL}\n")
+    assert main([command, str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+_UNICODE_SPACES = ("\u00a0", "\u2003", "\u2028", "\x85", "\x0c", "\u3000")
+
+
+def _corrupted(data: bytes, rng) -> bytes:
+    """``data`` with one to three corruptions, seeded: a huge or malformed
+    token, Unicode digits or spaces, NUL bytes, invalid UTF-8, or nothing
+    left at all."""
+    for _ in range(rng.randint(1, 3)):
+        text = data.decode("utf-8", "replace")
+        tokens = text.split(" ") if " " in text else text.split("\n")
+        i = rng.randrange(len(tokens))
+        kind = rng.randrange(7)
+        if kind == 0:
+            tokens[i] = rng.choice(("", "-")) + "7" * rng.choice((20, 4400, 9000))
+        elif kind == 1:
+            tokens[i] = rng.choice(("1x", "0x1", "1e3", "+1", "1_0", "--1", "٣a"))
+        elif kind == 2:
+            tokens[i] = tokens[i].translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+        elif kind == 3:
+            tokens.insert(i, rng.choice(_UNICODE_SPACES))
+        elif kind == 4:
+            tokens.insert(i, rng.choice(("\x00", "1\x00", "\x002")))
+        elif kind == 5:
+            joined = " ".join(tokens).encode()
+            cut = rng.randrange(len(joined) + 1)
+            return joined[:cut] + rng.choice((b"\xff", b"\xc3\x28", b"\xed\xa0\x80")) + joined[cut:]
+        else:
+            return b"" if rng.random() < 0.5 else data[:rng.randrange(len(data) + 1)]
+        data = " ".join(tokens).encode()
+    return data
+
+
+def test_corrupted_files_exit_0_or_2_and_never_raise(tmp_path, capsys):
+    """Seeded corruptions of corpus files: every run returns 0, or 2
+    with exactly one ``error:`` line on stderr and nothing on stdout."""
+    rng = seeded("corrupted-files")
+    graphs = [FIX.D_triv, FIX.D_parity, FIX.D_ab] + [random_graph(rng, 6, 2) for _ in range(4)]
+    corpus = ([("analyze-graph", write_graph(gr)) for gr in graphs]
+              + [("analyze-semigroup", write_semigroup(s)) for s in
+                 [FIX.U1, FIX.LZ2, FIX.Z2] + semigroup_zoo() if s.element_count <= 12])
+    path = tmp_path / "corrupted"
+    codes = set()
+    for _ in range(400):
+        command, text = rng.choice(corpus)
+        path.write_bytes(_corrupted(text.encode(), rng))
+        code = main([command, str(path)])
+        out, err = capsys.readouterr()
+        assert code in (0, 2), path.read_bytes()
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        codes.add(code)
+    assert codes == {0, 2}
 
 
 def test_nonassociative_input_exit(files, tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Parsing, writing, and report rendering for the text matrix formats."""
 
+import sys
 from collections import Counter
 from functools import partial
-from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +14,7 @@ from testability import (
     NonpositiveHeader,
     NotAssociative,
     NotGenerated,
+    NumberTooLong,
     ParseError,
     TooFewNumbers,
     TransitionGraph,
@@ -28,8 +29,9 @@ from testability import (
 )
 from testability import io_formats
 from testability.model import PropertyReport
-from tests.corpus import (fixtures, random_graph, seeded, semigroup_zoo,
-                          small_transformation_semigroups)
+from tests import naive
+from tests.corpus import (LONG_NUMERAL, fixtures, int_refuses, random_graph, seeded,
+                          semigroup_zoo, small_transformation_semigroups)
 
 FIX = fixtures()
 
@@ -71,6 +73,9 @@ def test_too_few_numbers():
         parse_semigroup("2 1\n1\n")
     with pytest.raises(TooFewNumbers):
         parse_graph("")
+    with pytest.raises(TooFewNumbers) as exc:    # a table past islice's range
+        parse_graph("2 " + "9" * 30 + "\n0 0\n")
+    assert str(exc.value).endswith(f"transition 3 of {2 * int('9' * 30)}")
 
 
 def test_bad_token_reports_its_position():
@@ -79,6 +84,41 @@ def test_bad_token_reports_its_position():
     assert exc.value.line == 1
     assert exc.value.column == 1
     assert exc.value.token == "2x"
+
+
+needs_int_digit_limit = pytest.mark.skipif(not int_refuses(LONG_NUMERAL),
+                                           reason="int() has no digit limit here")
+
+
+@needs_int_digit_limit
+@pytest.mark.parametrize("parse, text, line, column", [
+    (parse_graph, f"{LONG_NUMERAL} 2\n1\n0\n", 1, 1),
+    (parse_graph, f"1 {LONG_NUMERAL}\n1\n0\n", 1, 3),
+    (parse_graph, f"1 2\n1\n-{LONG_NUMERAL}\n", 3, 1),
+    (parse_semigroup, f"2 {LONG_NUMERAL}\n1\n0\n", 1, 3),
+    (parse_semigroup, f"# cyclic\n2 1\n  {LONG_NUMERAL} 0\n", 3, 3),
+], ids=["graph-alphabet", "graph-nodes", "graph-cell", "semigroup-generators",
+        "semigroup-cell"])
+def test_a_number_too_long_for_int_is_a_parse_error(parse, text, line, column):
+    """A header value or table cell that ``int`` refuses is located, and
+    its digit count, not its value, is reported."""
+    with pytest.raises(NumberTooLong) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value) == f"line {line}, column {column}: number of 5000 digits is too long"
+
+
+@needs_int_digit_limit
+def test_trailing_numbers_are_ignored_however_long():
+    """Values after the table are never read, whether they share the
+    table's last piece or follow it in a piece of their own."""
+    for tail in (f" {LONG_NUMERAL}", f"\n-{LONG_NUMERAL} 1x\n", f" a+b {LONG_NUMERAL} 1_0"):
+        assert parse_graph("1 2\n1\n0" + tail) == FIX.D_parity
+        assert parse_semigroup("2 1\n1\n0" + tail) == FIX.Z2
+    gr = random_graph(seeded("long-tail"), 3000, 2)
+    text = write_graph(gr) + f"{LONG_NUMERAL} " * 3
+    assert len(list(io_formats._pieces(text))) > 20
+    assert parse_graph(text) == gr
 
 
 def test_graph_cell_out_of_range():
@@ -186,34 +226,39 @@ def test_parse_write_round_trip_gives_the_cell_by_cell_bytes():
 
 
 class _CountingPattern:
-    """Stands in for ``_TOKEN``, counting the passes over one text and
-    keeping the offset each one starts at."""
+    """Stands in for ``_TOKEN``, keeping the (start, end) bounds of each
+    pass over one text."""
 
     def __init__(self, pattern, text):
-        self.pattern, self.text, self.passes, self.starts = pattern, text, 0, []
+        self.pattern, self.text, self.passes = pattern, text, []
 
-    def finditer(self, text, pos=0):
+    def finditer(self, text, pos=0, endpos=sys.maxsize):
         if text == self.text:
-            self.passes += 1
-            self.starts.append(pos)
-        return self.pattern.finditer(text, pos)
+            self.passes.append((pos, min(endpos, len(text))))
+        return self.pattern.finditer(text, pos, endpos)
+
+
+def _piece_at(text, offset):
+    """The bounds of the piece of ``text`` that holds ``offset``."""
+    return next((start, end) for start, end in io_formats._pieces(text) if offset < end)
 
 
 @pytest.mark.parametrize("where", ["header", "middle", "last"])
 def test_a_bad_token_is_found_by_one_pass_over_the_text(monkeypatch, where):
-    """A ``BadToken`` report scans the whole text for its token once,
-    and names the same line and column as before."""
+    """A ``BadToken`` report costs no regex pass beyond reading: the one
+    pass reads the piece that holds the token, and the report names the
+    same line and column as before."""
     gr = random_graph(seeded("bad-token-pass"), 1000, 2)
     lines = write_graph(gr).splitlines()
     line = {"header": 0, "middle": 500, "last": len(lines) - 1}[where]
     lines[line] = lines[line].rsplit(" ", 1)[0] + " 1x"
     text = "\n".join(lines) + "\n"
-    assert len(text) > 4 * 1024    # more than one piece of the split pass
+    assert len(text) > 4 * 1024    # more than one piece
     spy = _CountingPattern(io_formats._TOKEN, text)
     monkeypatch.setattr(io_formats, "_TOKEN", spy)
     with pytest.raises(BadToken) as exc:
         parse_graph(text)
-    assert spy.passes == 1
+    assert spy.passes == [_piece_at(text, text.index(" 1x\n") + 1)]
     assert (exc.value.line, exc.value.token) == (line + 1, "1x")
     assert exc.value.column == len(lines[line]) - 1
 
@@ -221,26 +266,50 @@ def test_a_bad_token_is_found_by_one_pass_over_the_text(monkeypatch, where):
 @pytest.mark.parametrize("where", ["middle", "last"])
 @pytest.mark.parametrize("comment", [False, True])
 def test_a_bad_token_scan_starts_at_its_piece(monkeypatch, where, comment):
-    """The split pass stops at the piece that holds a malformed token,
-    and the scan that places the token starts there, counting the values
-    before it, so a bad token near the end of a large file is not found
-    by a scan from the start.  A comment in the first piece sends that
-    piece through the regex and leaves the count unchanged."""
+    """The reading stops at the piece that holds a malformed token, and
+    the regex pass that finds the token starts there, so a bad token
+    near the end of a large file is not found by a scan from the start.
+    A comment in the first piece sends that piece through the regex as
+    well, and no other."""
     gr = random_graph(seeded("bad-token-piece"), 3000, 2)
     lines = write_graph(gr).splitlines()
     line = {"middle": 1500, "last": len(lines) - 1}[where]
     lines[line] = lines[line].rsplit(" ", 1)[0] + " 1x"
     text = ("# a comment\n" if comment else "") + "\n".join(lines) + "\n"
     at = text.index(" 1x\n") + 1
-    starts = list(accumulate(map(len, io_formats._pieces(text)), initial=0))
-    piece = max(s for s in starts if s <= at)
+    piece = _piece_at(text, at)[0]
     assert piece > len(text) // 3 and at - piece < 2 * 1024
     spy = _CountingPattern(io_formats._TOKEN, text)
     monkeypatch.setattr(io_formats, "_TOKEN", spy)
     with pytest.raises(BadToken) as exc:
         parse_graph(text)
-    assert spy.starts == [piece]
+    assert [start for start, _ in spy.passes] == [0] * comment + [piece]
     assert (exc.value.line, exc.value.token) == (line + 1 + comment, "1x")
+
+
+@pytest.mark.parametrize("last", ["a_b", "1_0"])
+def test_only_pieces_with_a_comment_a_plus_or_an_underscore_meet_the_regex(monkeypatch, last):
+    """``int`` reads every piece but those that hold a comment, ``+`` or
+    ``_``, and the regex reads each of those once.  ``1_0``, which
+    ``int`` reads as 10, is a malformed token."""
+    gr = random_graph(seeded("regex-pieces"), 3000, 3)
+    lines = write_graph(gr).splitlines()
+    for line, comment in ((0, "# my_graph\n"), (900, "a+b "), (1800, "# plain "),
+                          (2700, last + " ")):
+        lines[line] = comment + lines[line]
+    text = "\n".join(lines) + "\n"
+    marked = [(start, end) for start, end in io_formats._pieces(text)
+              if any(mark in text[start:end] for mark in ("#", "+", "_"))]
+    assert len(marked) == 4 and len(list(io_formats._pieces(text))) > 20
+    spy = _CountingPattern(io_formats._TOKEN, text)
+    monkeypatch.setattr(io_formats, "_TOKEN", spy)
+    if last == "a_b":
+        assert parse_graph(text) == gr
+    else:
+        with pytest.raises(BadToken) as exc:
+            parse_graph(text)
+        assert (exc.value.line, exc.value.column, exc.value.token) == (2702, 1, "1_0")
+    assert spy.passes == marked
 
 
 _COMMENT = st.text(alphabet="abcxyz#;!-=", min_size=1, max_size=6)
@@ -330,12 +399,37 @@ def _outcome(parse, text):
         return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
 
 
+def _read_all(text):
+    """Every value the reader hands out, and the (token, line, column)
+    of the token that ended them, or None, as ``naive.numbers`` gives them."""
+    nums = io_formats._Numbers(text)
+    values = nums.take(len(text))
+    try:
+        nums.missing("the rest")
+    except TooFewNumbers:
+        return values, None
+    except ParseError as exc:
+        return values, (exc.token, exc.line, exc.column)
+
+
+def _naive_read(self):
+    """``_Numbers._read`` through ``naive.numbers``: all values in one
+    list, and the match of the token that ended them."""
+    values, stop = naive.numbers(self.text)
+    if stop:
+        token, line, column = stop
+        offset = len("".join(self.text.splitlines(True)[:line - 1])) + column - 1
+        self.stop = io_formats._TOKEN.match(self.text, offset)
+    yield values
+
+
 def test_split_pass_reads_what_the_regex_reads(monkeypatch):
-    """Seeded fuzz: both parsers give the same value through the C-level
-    split pass as through the regex alone, or raise the same exception
-    class with the same message, line and column.  Comments fall at
-    random positions, and pieces are cut as short as a few characters,
-    so pieces the regex reads are followed by pieces the split pass
+    """Seeded fuzz against the reference reader ``naive.numbers``: the
+    reader hands out its values and stops at its token, and both parsers
+    give the same value as through the reference, or raise the same
+    exception class with the same message, line and column.  Comments
+    fall at random positions, and pieces are cut as short as a few
+    characters, so pieces the regex reads are followed by pieces ``int``
     reads."""
     rng = seeded("tokenizer")
     pieces = io_formats._pieces
@@ -344,32 +438,27 @@ def test_split_pass_reads_what_the_regex_reads(monkeypatch):
         parse, text = _fuzzed_stream(rng)
         size = rng.choice((1, 8, 1 << 10))
         monkeypatch.setattr(io_formats, "_pieces", partial(pieces, size=size))
+        assert _read_all(text) == naive.numbers(text), text
         fast = _outcome(parse, text)
         with monkeypatch.context() as m:
-            m.setattr(io_formats, "_split_values", lambda text: None)
+            m.setattr(io_formats._Numbers, "_read", _naive_read)
             assert _outcome(parse, text) == fast, text
         commented = any(c in text.split() for c in _COMMENTS)
-        cases[io_formats._split_values(text) is not None, isinstance(fast, tuple), commented] += 1
+        cases["+" in text or "_" in text, isinstance(fast, tuple), commented] += 1
     assert len(cases) == 8, cases
 
 
 def test_a_comment_header_leaves_the_rest_to_the_split_pass(monkeypatch):
     """A one-line comment header sends only the piece that holds it
-    through ``_regex_values``; the tokens after that piece are split."""
+    through the regex; ``int`` reads the tokens after that piece."""
     text = write_graph(random_graph(seeded("comment-header"), 3000, 3))
-    read = []
-
-    def spy(text):
-        read.append(text)
-        return regex_values(text)
-
-    regex_values = io_formats._regex_values
-    monkeypatch.setattr(io_formats, "_regex_values", spy)
     commented = "# a comment header\n" + text
+    spy = _CountingPattern(io_formats._TOKEN, commented)
+    monkeypatch.setattr(io_formats, "_TOKEN", spy)
     assert parse_graph(commented) == parse_graph(text)
     first = next(io_formats._pieces(commented))
-    assert read == [first]
-    assert len(first) < 2000 < len(text)
+    assert spy.passes == [first]
+    assert first[1] < 2000 < len(text)
 
 
 def test_pieces_split_into_the_tokens_of_the_whole_text():
@@ -380,12 +469,13 @@ def test_pieces_split_into_the_tokens_of_the_whole_text():
         text = "".join(rng.choice(("7", "-12", "x", "٣")) + rng.choice(_SPACES) * rng.randint(1, 2)
                        for _ in range(rng.randint(0, 30)))
         for size in range(1, 12):
-            pieces = list(io_formats._pieces(text, size))
+            pieces = [text[start:end] for start, end in io_formats._pieces(text, size)]
             assert "".join(pieces) == text
             assert [t for p in pieces for t in p.split()] == text.split()
     big = write_graph(random_graph(seeded("pieces-graph"), 3000, 3))
-    assert len(list(io_formats._pieces(big))) > 2
-    assert [t for p in io_formats._pieces(big) for t in p.split()] == big.split()
+    pieces = [big[start:end] for start, end in io_formats._pieces(big)]
+    assert len(pieces) > 2
+    assert [t for p in pieces for t in p.split()] == big.split()
 
 
 def test_text_rendering_of_witnesses():
