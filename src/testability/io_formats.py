@@ -64,17 +64,18 @@ class NumberTooLong(ParseError):
 # when it is an integer and is None when it mixes digits with other
 # characters; digitless tokens (comments) never match.
 _TOKEN = re.compile(r"(?<!\S)(?:(-?\d+)(?!\S)|\S*\d\S*)")
+# Whitespace as ``str.split`` and ``_TOKEN`` see it, where pieces end.
+_SPACE = re.compile(r"\s")
 
 
 def _pieces(text: str, size: int = 1 << 10):
-    """(start, end) bounds that cut ``text`` at spaces into pieces of
+    """(start, end) bounds that cut ``text`` at whitespace into pieces of
     about ``size`` characters, which split into the text's tokens one
     piece at a time."""
     start = 0
     while start < len(text):
-        end = text.find(" ", start + size)
-        if end < 0:
-            end = len(text)
+        m = _SPACE.search(text, start + size)
+        end = m.start() if m else len(text)
         yield start, end
         start = end
 
@@ -166,7 +167,11 @@ def _cells(nums: _Numbers, count: int, low: int, high: int, noun: str,
         raise CellOutOfRange(f"{noun} {cells[i]} outside {low}..{high}",
                              *nums.where(2 + i), str(cells[i]))
     if len(cells) < count:
-        nums.missing(f"{unit} {len(cells) + 1} of {count}")
+        try:
+            total = str(count)
+        except ValueError:    # a header's product may have more digits than str writes
+            total = "a count too long to print"
+        nums.missing(f"{unit} {len(cells) + 1} of {total}")
     return cells
 
 

@@ -8,15 +8,6 @@ def strongly_connected_components(succ) -> list[list[int]]:
 
     Each component is sorted; components are ordered by their least
     member, which makes downstream witness choices deterministic.
-    """
-    components = [sorted(comp) for comp in _emission_order(succ)]
-    components.sort(key=lambda c: c[0])
-    return components
-
-
-def _emission_order(succ) -> list[list[int]]:
-    """SCCs in the order Tarjan's walk completes them, members unsorted:
-    a component comes after every component it has an edge into.
 
     Iterative so that graphs with long chains do not hit the recursion
     limit: each vertex on the work stack carries an iterator over its
@@ -63,5 +54,6 @@ def _emission_order(succ) -> list[list[int]]:
                         comp.append(w)
                         if w == v:
                             break
-                    components.append(comp)
+                    components.append(sorted(comp))
+    components.sort(key=lambda c: c[0])
     return components

@@ -189,32 +189,20 @@ def submagma(cayley, kept):
         elements |= new
 
 
-def generator_depths(cayley):
-    """The depth of each generator's group of ``components`` in the right
-    Cayley graph x -> x*j: the number of groups on the longest chain of
-    groups above it, so a group nothing else reaches has depth 0."""
-    groups = components(cayley)
-    group = {v: i for i, members in enumerate(groups) for v in members}
-    above = [set() for _ in groups]
-    for x, row in enumerate(cayley):
-        for y in row:
-            if group[y] != group[x]:
-                above[group[y]].add(group[x])
-    depth = {}
-
-    def longest_chain(g):
-        if g not in depth:
-            depth[g] = max((longest_chain(h) + 1 for h in above[g]), default=0)
-        return depth[g]
-
-    return [longest_chain(group[j]) for j in range(len(cayley[0]))]
+def generator_order(cayley):
+    """The generators by the size of j*S^1 = {j} | {j*y}, from
+    ``product_table``, largest first, ties by index.  On an associative
+    table j*S^1 is the set ``reachable`` finds from j in the right Cayley
+    graph x -> x*j."""
+    table = product_table(cayley)
+    return sorted(range(len(cayley[0])), key=lambda j: -len({j, *table[j]}))
 
 
 def greedy_generating_subset(cayley):
-    """Generators kept greedily, walked by ``generator_depths``, ties by
-    index: j is kept unless it is in the right-reach of the kept ones
-    under the kept columns, recomputed from scratch for each j.  Returns
-    the kept list, ascending, and its final reach."""
+    """Generators kept greedily, walked in ``generator_order``: j is kept
+    unless it is in the right-reach of the kept ones under the kept
+    columns, recomputed from scratch for each j.  Returns the kept list,
+    ascending, and its final reach."""
     def right_reach(kept):
         reach = set(kept)
         while True:
@@ -223,9 +211,8 @@ def greedy_generating_subset(cayley):
                 return reach
             reach |= new
 
-    depths = generator_depths(cayley)
     kept = []
-    for j in sorted(range(len(cayley[0])), key=lambda j: (depths[j], j)):
+    for j in generator_order(cayley):
         if j not in right_reach(kept):
             kept.append(j)
     return sorted(kept), right_reach(kept)

@@ -384,6 +384,7 @@ def test_criterion_9_worst_case_yes_instance():
     # non-commuting generators break the last two properties.
     s = semigroup_direct_product(rectangular_band(5, 5), min_chain(12))
     assert s.element_count == 300
+    assert len(semigroups._generating_subset(s)) == 20
     t0 = time.perf_counter()
     report = analyze_semigroup(s)
     elapsed = time.perf_counter() - t0
@@ -514,11 +515,10 @@ def test_criterion_12_threshold_memory_catalan_9():
 def test_criterion_13_lights_test_on_all_generator_table(monkeypatch):
     # 1,280 elements, every one a generator: an 8x8 rectangular band
     # times a 20-element chain.  Light's test runs over the generators
-    # kept greedily, walked by the depth of their component in the
-    # right Cayley graph, because the ones kept before them do not
-    # reach them (34 here, not 1,280; index order kept 300), and the
-    # table is associative, so the scan over those columns runs to the
-    # end.
+    # kept greedily, walked by the size of j*S^1, largest first,
+    # because the ones kept before them do not reach them (34 here, not
+    # 1,280; index order kept 300), and the table is associative, so the
+    # scan over those columns runs to the end.
     s = semigroup_direct_product(rectangular_band(8, 8), min_chain(20))
     assert s.element_count == s.generator_count == 1280
     scans = []
@@ -529,7 +529,7 @@ def test_criterion_13_lights_test_on_all_generator_table(monkeypatch):
     v = check_associativity(s)
     elapsed = time.perf_counter() - t0
     assert v.holds == YES
-    assert len(scans) == 1 and len(scans[0]) <= 40
+    assert len(scans) == 1 and len(scans[0]) == 34
     assert elapsed < 10.0
     print(f"PASS criterion 13: Light's test on n = g = 1,280 answers yes over "
           f"{len(scans[0])} generators in {elapsed:.1f}s < 10s")

@@ -123,20 +123,33 @@ def test_parse_error_exit(files, tmp_path, capsys):
     assert "error: line 2, column 3" in err
 
 
+_HUGE_HEADER = "9" * 2500 + " " + "9" * 2500 + "\n0\n"
+
+
 @pytest.mark.skipif(not int_refuses(LONG_NUMERAL), reason="int() has no digit limit here")
-@pytest.mark.parametrize("command, text, where", [
-    ("analyze-graph", f"1 {LONG_NUMERAL}\n1\n0\n", "line 1, column 3"),
-    ("analyze-graph", f"1 2\n{LONG_NUMERAL}\n0\n", "line 2, column 1"),
-    ("analyze-semigroup", f"{LONG_NUMERAL} 1\n1\n0\n", "line 1, column 1"),
-    ("analyze-semigroup", f"2 1\n1\n-{LONG_NUMERAL}\n", "line 3, column 1"),
-], ids=["graph-header", "graph-table", "semigroup-header", "semigroup-table"])
-def test_a_number_too_long_exits_2(tmp_path, capsys, command, text, where):
-    """A header value or cell too long for ``int`` exits 2 with one
-    error line; after the table it is ignored."""
+@pytest.mark.parametrize("command, text, error", [
+    ("analyze-graph", f"1 {LONG_NUMERAL}\n1\n0\n",
+     "line 1, column 3: number of 5000 digits is too long"),
+    ("analyze-graph", f"1 2\n{LONG_NUMERAL}\n0\n",
+     "line 2, column 1: number of 5000 digits is too long"),
+    ("analyze-semigroup", f"{LONG_NUMERAL} 1\n1\n0\n",
+     "line 1, column 1: number of 5000 digits is too long"),
+    ("analyze-semigroup", f"2 1\n1\n-{LONG_NUMERAL}\n",
+     "line 3, column 1: number of 5000 digits is too long"),
+    ("analyze-graph", _HUGE_HEADER,
+     "input ended while reading transition 2 of a count too long to print"),
+    ("analyze-semigroup", _HUGE_HEADER,
+     "input ended while reading product 2 of a count too long to print"),
+], ids=["graph-header", "graph-table", "semigroup-header", "semigroup-table",
+        "graph-table-size", "semigroup-table-size"])
+def test_a_number_too_long_exits_2(tmp_path, capsys, command, text, error):
+    """A header value or cell too long for ``int``, or headers whose
+    table size is too long for ``str``, exit 2 with one error line; after
+    the table a long number is ignored."""
     path = tmp_path / "long.txt"
     path.write_text(text)
     code = main([command, str(path)])
-    assert capsys.readouterr().err == f"error: {where}: number of 5000 digits is too long\n"
+    assert capsys.readouterr().err == f"error: {error}\n"
     assert code == 2
     table = "1 2\n1\n0" if command == "analyze-graph" else "2 1\n1\n0"
     path.write_text(f"{table} {LONG_NUMERAL}\n{LONG_NUMERAL}\n")

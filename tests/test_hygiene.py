@@ -3,7 +3,8 @@ uses, anything from the tests or the benchmark, or anything outside the
 standard library, directly or at run time; no function assigns a local
 it never reads, and no module reads a graph's row view; no state is
 kept from one call to the next; the public surface is exactly what
-``__init__`` imports; every name the benchmark's tracer wraps still
+``__init__`` imports; every module-level function or class is
+exported or used; every name the benchmark's tracer wraps still
 exists; the README's Library section names only what the package
 exports."""
 
@@ -186,6 +187,39 @@ def test_all_lists_each_imported_name_once():
     assert len(exported) == len(set(exported))
     assert set(exported) == imported
     exec("from testability import *", {})  # raises on a name __all__ lists but lacks
+
+
+def _names_outside(tree, skip):
+    """Every name ``tree`` reads or takes as an attribute, outside the
+    nodes in ``skip``."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_package_function_is_used():
+    """Each module-level function or class is exported in ``__all__``,
+    named by package code outside its own definition, or is the command
+    line's ``main``, so a helper whose last caller is gone cannot linger."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    defs = {(module, node.name): node for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    assert len(defs) > 50
+    unused = []
+    for (module, name), node in defs.items():
+        if name in testability.__all__ or (module, name) == ("cli", "main"):
+            continue
+        if not any(name in _names_outside(tree, {node}) for tree in trees.values()):
+            unused.append(f"{module}.{name}")
+    assert unused == [], f"defined but never named: {unused}"
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():

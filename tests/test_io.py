@@ -76,6 +76,11 @@ def test_too_few_numbers():
     with pytest.raises(TooFewNumbers) as exc:    # a table past islice's range
         parse_graph("2 " + "9" * 30 + "\n0 0\n")
     assert str(exc.value).endswith(f"transition 3 of {2 * int('9' * 30)}")
+    for parse, unit in ((parse_graph, "transition"), (parse_semigroup, "product")):
+        with pytest.raises(TooFewNumbers) as exc:    # a table size past str's range
+            parse("9" * 2500 + " " + "9" * 2500 + "\n0\n")
+        if int_refuses(LONG_NUMERAL):
+            assert str(exc.value).endswith(f"{unit} 2 of a count too long to print")
 
 
 def test_bad_token_reports_its_position():
@@ -450,20 +455,22 @@ def test_split_pass_reads_what_the_regex_reads(monkeypatch):
 
 def test_a_comment_header_leaves_the_rest_to_the_split_pass(monkeypatch):
     """A one-line comment header sends only the piece that holds it
-    through the regex; ``int`` reads the tokens after that piece."""
-    text = write_graph(random_graph(seeded("comment-header"), 3000, 3))
-    commented = "# a comment header\n" + text
-    spy = _CountingPattern(io_formats._TOKEN, commented)
-    monkeypatch.setattr(io_formats, "_TOKEN", spy)
-    assert parse_graph(commented) == parse_graph(text)
-    first = next(io_formats._pieces(commented))
-    assert spy.passes == [first]
-    assert first[1] < 2000 < len(text)
+    through the regex; ``int`` reads the tokens after that piece.  A
+    one-letter graph has one cell a line, so its pieces end at newlines."""
+    for letters in (3, 1):
+        text = write_graph(random_graph(seeded("comment-header"), 3000, letters))
+        commented = "# a comment header\n" + text
+        spy = _CountingPattern(io_formats._TOKEN, commented)
+        monkeypatch.setattr(io_formats, "_TOKEN", spy)
+        assert parse_graph(commented) == parse_graph(text)
+        first = next(io_formats._pieces(commented))
+        assert spy.passes == [first]
+        assert first[1] < 2000 < len(text)
 
 
 def test_pieces_split_into_the_tokens_of_the_whole_text():
-    """Cut at spaces, the pieces of a text split into its tokens, at any
-    piece size, whatever whitespace the text mixes."""
+    """Cut at whitespace, the pieces of a text split into its tokens, at
+    any piece size, whatever whitespace the text mixes."""
     rng = seeded("pieces")
     for _ in range(200):
         text = "".join(rng.choice(("7", "-12", "x", "٣")) + rng.choice(_SPACES) * rng.randint(1, 2)

@@ -215,9 +215,9 @@ def _subset_route_tables():
 
 def test_generating_subset_is_the_greedy_reference():
     """``_generating_subset`` keeps what the from-scratch greedy reference
-    keeps, walking the generators by the depth of their component, or
-    is None exactly when that reach misses an element.  The kept list
-    decides what Light's test costs, so any change to it shows here."""
+    keeps, walking the generators by the size of j*S^1, or is None
+    exactly when that reach misses an element.  The kept list decides
+    what Light's test costs, so any change to it shows here."""
     cases = Counter()
     for m in _subset_route_tables():
         kept, reach = naive.greedy_generating_subset(m.cayley)
@@ -228,30 +228,35 @@ def test_generating_subset_is_the_greedy_reference():
 
 
 def test_generator_order_extends_right_reachability():
-    """If generator j reaches j' in the right Cayley graph and j' does not
-    reach j, then j comes first in the order ``_generating_subset``
-    walks; generators with equal depth keep index order."""
+    """``_generating_subset`` walks the generators by the size of j*S^1,
+    ties by index.  On an associative table that is the number of
+    elements j reaches in the right Cayley graph, and if j reaches j'
+    and j' does not reach j, then j comes first.  On a table that is
+    not associative neither need hold."""
     tables = list(_subset_route_tables())
     tables += [semigroup_direct_product(rectangular_band(p, q), min_chain(c))
                for p, q, c in ((2, 3, 4), (3, 3, 5))]
-    pairs = 0
+    associative = pairs = 0
     for m in tables:
         order = semigroups._generator_order(m)
-        depths = naive.generator_depths(m.cayley)
-        assert order == sorted(range(m.generator_count), key=lambda j: (depths[j], j))
-        place = {j: i for i, j in enumerate(order)}
+        assert order == naive.generator_order(m.cayley)
+        if naive.lights_test(m.cayley) is not None:
+            continue
+        associative += 1
         reach = [naive.reachable(m.cayley, j) for j in range(m.generator_count)]
+        assert order == sorted(range(m.generator_count), key=lambda j: -len(reach[j]))
+        place = {j: i for i, j in enumerate(order)}
         for j in range(m.generator_count):
             for k in range(m.generator_count):
                 if k in reach[j] and j not in reach[k]:
                     assert place[j] < place[k], (j, k)
                     pairs += 1
-    assert pairs >= 100, pairs
+    assert associative >= 100 and pairs >= 100, (associative, pairs)
 
 
 def test_lights_test_on_criterion_8_table_scans_few_generators(monkeypatch):
-    """Parsing criterion 8's n=500 table scans at most 8 of its 86
-    generators, and the scan over all of them does not run."""
+    """Parsing criterion 8's n=500 table scans 4 of its 86 generators,
+    and the scan over all of them does not run."""
     scans = []
     scan = semigroups._lights_scan
     monkeypatch.setattr(semigroups, "_lights_scan",
@@ -263,7 +268,7 @@ def test_lights_test_on_criterion_8_table_scans_few_generators(monkeypatch):
     parsed = parse_semigroup(write_semigroup(big))
     assert check_associativity(parsed).holds == "yes"
     assert len(scans) == 1
-    assert len(scans[0]) <= 8
+    assert len(scans[0]) == 4
 
 
 def test_idempotents():
