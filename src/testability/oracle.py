@@ -20,9 +20,16 @@ In both, bag k - 1 is the empty bag, which only the (k - 1)-letter
 words hold, and every other bag is larger.  No word shorter than k
 shares its profile with another word, so the search builds those words
 a whole level at a time, in code order, and never looks them up; the
-ones shorter than k - 1 letters get no key at all.  Nor does a k-letter
-word, whose bag holds only itself: the k-letter words are keyed in one
-pass, all new, and only longer words are looked up.
+ones shorter than k - 1 letters get no key at all.  Nor do two k-letter
+words share a profile, since each bag holds only its word.  A longer
+word w shares the profile of a k-letter word u only at t = 1 (past it,
+u counts twice in w) and only as a**(k+j) against a**k: every k-factor
+of w is u, and two overlapping equal factors make u[1:] == u[:-1].  The
+search reaches such a w by a step from a**k itself, whose profile its
+first k + j - 1 letters share.  So the k-letter words head the queue, in
+code order, and each is keyed, and entered among the seen states, only
+when the queue reaches it: a "no" at the first step costs one key, not
+A**k.  Only longer words are looked up.
 
 Appending a letter adds the factor ``suffix * A + letter``: the prefix
 stays, the suffix becomes the factor's last k - 1 letters, and the bag
@@ -275,10 +282,12 @@ def profile_determines(initial, rows, alphabet_size: int, k: int, t: int = 1,
     parent links.  Reaching ``budget`` states before the search settles
     gives "unknown", at once if the words shorter than k alone are more.
 
-    Those words fill whole levels and are never looked up, and the
-    k-letter words are keyed in one pass ("unknown" if they pass the
-    budget); from them on, a state is its key, and a step takes one of
-    the moves ``moves[key & field]`` (layout in the module docstring).
+    Those words fill whole levels and are never looked up.  The k-letter
+    words are counted ("unknown" if they pass the budget) and keyed as
+    the queue reaches them, so their parent links, like those of the
+    shorter words, are implicit; from them on, a state is its key, and a
+    step takes one of the moves ``moves[key & field]`` (layout in the
+    module docstring).
     """
     if alphabet_size < 1:
         raise ValueError(f"alphabet size {alphabet_size} must be positive")
@@ -359,41 +368,53 @@ def profile_determines(initial, rows, alphabet_size: int, k: int, t: int = 1,
 
         moves = _Lookup(interned_moves)
 
+    # Words of at most k letters are numbered by length, then code, so
+    # the parent link pid * alphabet_size + letter of each is its id less
+    # one; ``parent`` holds the links of the longer words, numbered from
+    # ``numbered`` on in discovery order.
+    numbered = short + span * alphabet_size
+
     def word_of(pid: int) -> tuple[int, ...]:
         out = []
         while pid:
-            pid, letter = divmod(parent[pid], alphabet_size)
+            pid, letter = divmod(pid - 1 if pid < numbered else parent[pid - numbered],
+                                 alphabet_size)
             out.append(letter)
         return tuple(reversed(out))
 
-    # The k-letter words: no two share a profile, so all are new.  A
-    # (k - 1)-letter word's prefix and suffix fields both hold its code.
-    keys = [(key if key & slot == full else key + unit) + shift
-            for key in (first << 2 * sbits | code << sbits | code for code in range(span))
-            for slot, full, unit, shift, _ in moves[key & field]]
-    values = list(chain.from_iterable(map(rows.__getitem__, levels[-1])))
-    seen = dict(zip(keys, values))    # key -> value, for the words of k letters or more
-    # Words of at most k letters are numbered by length, then code, so
-    # the parent link pid * alphabet_size + letter of each is its id less one.
-    found = short + len(keys)
-    parent = list(range(-1, found - 1))
+    def k_letter_words(seen):
+        """The k-letter words in code order, each entered into ``seen``
+        when the queue reaches it.  A (k - 1)-letter word's prefix and
+        suffix fields both hold its code."""
+        for code, value in enumerate(levels[-1]):
+            key = first << 2 * sbits | code << sbits | code
+            for (slot, full, unit, shift, _), reached in zip(moves[key & field], rows[value]):
+                head = (key if key & slot == full else key + unit) + shift
+                seen[head] = reached
+                yield head, reached
+
+    seen = {}    # key -> value, for the words of k letters or more
+    keys, values, parent = [], [], []    # the longer words, in discovery order
+    found = numbered
     missing = object()
     link = (short - 1) * alphabet_size
-    for key, value in zip(keys, values):
-        link += alphabet_size
-        for (slot, full, unit, shift, letter), reached in zip(moves[key & field], rows[value]):
-            target = (key if key & slot == full else key + unit) + shift
-            old = seen.get(target, missing)
-            if old is missing:
-                if found >= budget:
-                    return OracleResult("unknown", None, found)
-                seen[target] = reached
-                found += 1
-                keys.append(target)
-                values.append(reached)
-                parent.append(link + letter)
-            elif old != reached:
-                pid = link // alphabet_size
-                witness = (word_of(short + keys.index(target)), word_of(pid) + (letter,))
-                return OracleResult("no", witness, found)
+    for states in (k_letter_words(seen), zip(keys, values)):
+        for key, value in states:
+            link += alphabet_size
+            for (slot, full, unit, shift, letter), reached in zip(moves[key & field], rows[value]):
+                target = (key if key & slot == full else key + unit) + shift
+                old = seen.get(target, missing)
+                if old is missing:
+                    if found >= budget:
+                        return OracleResult("unknown", None, found)
+                    seen[target] = reached
+                    found += 1
+                    keys.append(target)
+                    values.append(reached)
+                    parent.append(link + letter)
+                elif old != reached:
+                    pid = link // alphabet_size
+                    # a k-letter word is met only from itself (module docstring)
+                    earlier = pid if target == key else numbered + keys.index(target)
+                    return OracleResult("no", (word_of(earlier), word_of(pid) + (letter,)), found)
     return OracleResult("yes", None, found)

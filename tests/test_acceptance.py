@@ -668,3 +668,32 @@ def test_criterion_18_zero_semigroups_settle_their_order_without_a_search(tmp_pa
     with capsys.disabled():
         print(f"PASS criterion 18: --order finds k = 2 over 442,393 profile states at "
               f"{' and '.join(bounds)}, traced, < 25 MB and 10s")
+
+
+def test_criterion_19_a_first_step_no_costs_what_the_search_reaches(tmp_path, capsys):
+    # Three letters, where a swaps the two nodes and b and c fix them:
+    # at k = 12, a^12 and a^13 share a profile and differ, and the
+    # search meets them at its first step from a 12-letter word.  The
+    # k-letter words are keyed as the search reaches them, so the call
+    # does not pay for all 3^12 = 531,441 of them.
+    path = tmp_path / "a-parity.graph"
+    path.write_text("3 2\n1 0 0\n0 1 1\n")
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        code = main(["analyze-graph", str(path), "--props", "1t", "--k", "12",
+                     "--format", "machine"])
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert {"k_testability = no", "k_testability.witness.first = " + "a" * 12,
+            "k_testability.witness.second = " + "a" * 13} <= set(lines)
+    assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"
+    assert elapsed < 0.5, f"{elapsed:.2f}s"
+    with capsys.disabled():
+        print(f"PASS criterion 19: a first-step no at k = 12 over three letters in "
+              f"{elapsed:.3f}s < 0.5s at {peak / 1e6:.1f} MB traced peak < 10 MB")

@@ -287,10 +287,13 @@ REFERENCE_BUDGETS = (1, 3, 50, 3000)
 
 # Alphabets and windows past the seeded draws, among them suffix spans
 # A**(k-1) of 9, 27 and 1 that are not powers of two or leave the
-# suffix field empty.  Budgets around the number of words too short to
-# hold a k-factor stop the search just before, at and just after its
-# first k-letter word; budget 3000 runs each to a "no".
-WIDE_CASES = ((2, 6), (5, 2), (26, 2), (3, 3), (3, 4), (1, 5))
+# suffix field empty, and interned bags of 2,187 and 6,561 factor codes.
+# Budgets around the number of words too short to hold a k-factor stop
+# the search just before, at and just after its first k-letter word;
+# budgets around the number of words of at most k letters stop it just
+# before, at and just after its first longer word; budget 3000 runs the
+# smaller ones to a "no".
+WIDE_CASES = ((2, 6), (5, 2), (26, 2), (3, 3), (3, 4), (1, 5), (3, 7), (3, 8))
 
 
 def _around_short_words(a, k):
@@ -298,11 +301,27 @@ def _around_short_words(a, k):
     return short - 1, short, short + 1
 
 
+def _around_k_letter_words(a, k):
+    return tuple(budget + a ** k for budget in _around_short_words(a, k))
+
+
+def _letter_parity(a, letter):
+    """The 2-node graph where ``letter`` swaps the nodes and the other
+    letters fix them: it counts that letter mod 2."""
+    swap = tuple(int(c == letter) for c in range(a))
+    return graph_action(TransitionGraph(a, 2, (swap, tuple(1 - s for s in swap))))
+
+
 def _first_letter_parity(a):
-    """The 2-node graph whose first letter swaps the nodes and whose
-    other letters fix them: it counts the first letter mod 2."""
-    return graph_action(TransitionGraph(a, 2, ((1,) + (0,) * (a - 1),
-                                               (0,) + (1,) * (a - 1))))
+    """Its first "no" is on the first k-letter word, 0**k against
+    0**(k+1), before any longer word is found."""
+    return _letter_parity(a, 0)
+
+
+def _last_letter_parity(a):
+    """Its first "no" is on the last k-letter word, after the others
+    found longer words."""
+    return _letter_parity(a, a - 1)
 
 
 def _reference_corpus():
@@ -322,8 +341,9 @@ def _reference_corpus():
             k, t = rng.randrange(1, 5), rng.randrange(1, 4)
             yield action, a, k, t, rng.choice(REFERENCE_BUDGETS)
     for a, k in WIDE_CASES:
-        for budget in _around_short_words(a, k) + (3000,):
+        for budget in _around_short_words(a, k) + _around_k_letter_words(a, k) + (3000,):
             yield _first_letter_parity(a), a, k, 1, budget
+            yield _last_letter_parity(a), a, k, 1, budget
 
 
 def test_search_equals_the_kprofile_reference():
@@ -336,10 +356,29 @@ def test_search_equals_the_kprofile_reference():
         assert res == naive.profile_search(initial, step, a, k, t, budget), (k, t, budget)
         for field, value in zip(seen, (k, t, budget, res.status)):
             seen[field].add(value)
-    wide_budgets = {b for a, k in WIDE_CASES for b in _around_short_words(a, k)}
-    assert seen == {"k": {1, 2, 3, 4, 5, 6}, "t": {1, 2, 3},
+    wide_budgets = {b for a, k in WIDE_CASES
+                    for b in _around_short_words(a, k) + _around_k_letter_words(a, k)}
+    assert seen == {"k": {1, 2, 3, 4, 5, 6, 7, 8}, "t": {1, 2, 3},
                     "budget": set(REFERENCE_BUDGETS) | wide_budgets,
                     "status": {"yes", "no", "unknown"}}
+
+
+@pytest.mark.parametrize("a, k", WIDE_CASES)
+def test_letter_parities_conflict_on_the_first_and_last_k_letter_words(a, k):
+    """The first-letter parity's "no" comes at the first step from a
+    k-letter word, with only the words of at most k letters counted, at
+    every budget that counts them; the last-letter parity's comes at the
+    last k-letter word, once longer words were found, where budget 3000
+    allows it (below 500 k-letter words here)."""
+    numbered = sum(a ** length for length in range(k + 1))
+    zeros, lasts = (0,) * k, (a - 1,) * k
+    for budget in _around_k_letter_words(a, k)[1:]:
+        assert search(*_first_letter_parity(a), a, k, 1, budget) == \
+            oracle.OracleResult("no", (zeros, zeros + (0,)), numbered)
+    if a ** k < 500:
+        res = search(*_last_letter_parity(a), a, k, 1, 3000)
+        assert res.witness == (lasts, lasts + (a - 1,))
+        assert res.states > numbered or a == 1
 
 
 def test_a_step_function_folds_like_its_rows():
