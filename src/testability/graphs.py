@@ -21,7 +21,7 @@ from .model import (NO, UNKNOWN, YES, FiniteSemigroup, IncompleteInput,
                     Verdict, compose, format_word, letter_name)
 from .oracle import DEFAULT_BUDGET, DEFAULT_K_MAX, profile_determines
 from .semigroups import (ASSOCIATIVITY, ONE_TESTABILITY, _cayley_fold, _check,
-                         _fold_product, _order_search, _resolve_properties)
+                         _order_search, _resolve_properties)
 
 K_TESTABILITY = "k_testability"
 
@@ -158,11 +158,10 @@ def _one_testability(gr: TransitionGraph) -> Verdict:
 
 def _k_testability(ts: TransitionSemigroup, k: int, t: int, budget: int) -> Verdict:
     columns = ts.label_to_generator
-    res = profile_determines(*_cayley_fold(ts.semigroup, columns), len(columns),
-                             k, t, budget, _fold_product(ts.semigroup, t))
+    initial, table, product = _cayley_fold(ts.semigroup, columns)
+    res = profile_determines(initial, table, len(columns), k, t, budget, product)
     if res.status == "yes":
-        return Verdict(K_TESTABILITY, YES, None,
-                       f"k={k}, t={t}: {res.states} profile states searched")
+        return Verdict(K_TESTABILITY, YES, None, f"k={k}, t={t}: {res.states} profile states")
     if res.status == "no":
         u, v = res.witness
         return Verdict(K_TESTABILITY, NO, res.witness,

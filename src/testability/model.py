@@ -102,8 +102,8 @@ class TransitionGraph:
 
     Stored as letter columns: ``columns[c][p]`` is the node label c
     leads to from node p, or UNDEFINED (-1) where it leads nowhere.  The
-    constructor takes any iterable of rows ``delta[p][c]``, which
-    ``delta`` derives back.  Graphs with equal columns are equal.
+    constructor takes any iterable of rows ``delta[p][c]``.  Graphs with
+    equal columns are equal.
     """
 
     __slots__ = ("alphabet_size", "node_count", "columns")
@@ -132,10 +132,6 @@ class TransitionGraph:
         gr = cls.__new__(cls)
         gr.alphabet_size, gr.node_count, gr.columns = alphabet_size, node_count, columns
         return gr
-
-    @property
-    def delta(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(zip(*self.columns))
 
     @property
     def complete(self) -> bool:

@@ -76,16 +76,18 @@ for the empty word (``semigroups._cayley_fold``).  A step function
 (v, a) -> value may stand in for the rows; the search then calls it
 for every letter at every state.
 
-At t = 1, a "yes" can be settled without the search.  The callers pass
-the fold's product on its values when the semigroup is locally
-testable: every k-testable fold factors through A+ modulo equal
-k-profiles, which is locally testable (Brzozowski and Simon,
-Characterizations of locally testable events, 1973), and so is each
-quotient of it, so on any other semigroup the test below could only
-fail.  ``_loops_commute`` tests the de Bruijn loop condition, which
+At t = 1, a "yes" can be settled without the search, given the fold's
+product on its values; ``semigroups._cayley_fold`` builds it, and
+leaves it out only when the semigroup already holds a local-testability
+"no".  ``_loops_commute`` tests the de Bruijn loop condition, which
 holds exactly when every k-profile determines the value (proof sketch
-in its docstring).  Three facts keep the answer, state count included,
-equal to the search's:
+in its docstring).  Every k-testable fold factors through A+ modulo
+equal k-profiles, which is locally testable (Brzozowski and Simon,
+Characterizations of locally testable events, 1973), and so is each
+quotient of it, so on any other semigroup the condition fails, at its
+first failing set or once its work passes the budget, and the search
+answers.  Three facts keep the answer, state count included, equal to
+the search's:
 
 - A search that answers "yes" visits every k-profile once: every
   profile is some word's, and the word's letters reach it.  So its
@@ -181,25 +183,34 @@ def _loops_commute(levels, product, size: int, alphabet_size: int, budget: int) 
     multiplied by s on the left and by the rest of the word on the
     right, carries the value through every step.
 
-    Each distinct (c, period values) pair is scanned once.  The work,
-    len(distinct c) * size products for the sets S¹·c plus |T_u|**2 per
-    pair scanned, is weighed first; past ``budget`` the answer is False
-    and the caller searches as before, as it does when the test fails.
+    The walk takes the (k - 1)-letter words in code order, builds S¹·c
+    for each value c it reaches, once, and scans each distinct (c,
+    period values) pair once.  One running total weighs the work: size
+    products for each new c before its set is built, and |T_u|**2
+    before a set is scanned.  The answer is False at the first set that
+    fails, or once the total passes ``budget``; the caller then searches
+    as before.
     """
     first = len(levels) - 1
-    level = levels[-1]
-    distinct = set(level)
-    work = len(distinct) * size
-    if work > budget:
-        return False
-    lefts = {c: {product(v, c) for v in range(size)} for c in distinct}
-    loops = {(level[code], frozenset(levels[p][code % alphabet_size ** p]
-                                     for p in range(1, first) if word[p:] == word[:-p]))
-             for code, word in enumerate(words_of_length(range(alphabet_size), repeat=first))}
-    sets = [(c, lefts[c] | tails) for c, tails in loops]
-    if work + sum(len(values) ** 2 for _, values in sets) > budget:
-        return False
-    for c, values in sets:
+    lefts: dict = {}    # c -> S¹·c
+    scanned = set()
+    work = 0
+    for code, word in enumerate(words_of_length(range(alphabet_size), repeat=first)):
+        c = levels[first][code]
+        if c not in lefts:
+            work += size
+            if work > budget:
+                return False
+            lefts[c] = {product(v, c) for v in range(size)}
+        tails = frozenset(levels[p][code % alphabet_size ** p]
+                          for p in range(1, first) if word[p:] == word[:-p])
+        if (c, tails) in scanned:
+            continue
+        scanned.add((c, tails))
+        values = lefts[c] | tails
+        work += len(values) ** 2
+        if work > budget:
+            return False
         times = {x: product(c, x) for x in values}
         for x, cx in times.items():
             if product(cx, x) != cx:
@@ -271,7 +282,8 @@ def profile_determines(initial, rows, alphabet_size: int, k: int, t: int = 1,
     0..len(rows)-1, which the caller promises form a monoid with
     ``initial`` as identity; while bags are dense, a "yes" is then
     settled by ``_loops_commute`` and ``_profile_count`` without a
-    search.
+    search.  On a monoid that is not locally testable the condition
+    fails, and the search answers as it would without ``product``.
 
     Runs a breadth-first closure of (profile, value) pairs.  Profiles
     are numbered in discovery order, so the queue is a walk over those
@@ -280,14 +292,14 @@ def profile_determines(initial, rows, alphabet_size: int, k: int, t: int = 1,
     conflicting step, in BFS order with letters ascending, yields a
     deterministic shortest-first witness pair reconstructed through
     parent links.  Reaching ``budget`` states before the search settles
-    gives "unknown", at once if the words shorter than k alone are more.
+    gives "unknown", at once if the words of at most k letters, each a
+    profile of its own, are more.
 
-    Those words fill whole levels and are never looked up.  The k-letter
-    words are counted ("unknown" if they pass the budget) and keyed as
-    the queue reaches them, so their parent links, like those of the
-    shorter words, are implicit; from them on, a state is its key, and a
-    step takes one of the moves ``moves[key & field]`` (layout in the
-    module docstring).
+    The words shorter than k fill whole levels and are never looked up.
+    The k-letter words are keyed as the queue reaches them, so their
+    parent links, like those of the shorter words, are implicit; from
+    them on, a state is its key, and a step takes one of the moves
+    ``moves[key & field]`` (layout in the module docstring).
     """
     if alphabet_size < 1:
         raise ValueError(f"alphabet size {alphabet_size} must be positive")
@@ -298,7 +310,7 @@ def profile_determines(initial, rows, alphabet_size: int, k: int, t: int = 1,
     if budget < 1:
         raise ValueError(f"budget {budget} must be at least 1")
     short = sum(alphabet_size ** length for length in range(k))
-    if short > budget:
+    if short + alphabet_size ** k > budget:
         return OracleResult("unknown", None, budget)
     letters = range(alphabet_size)
     direct = (product is not None and t == 1 and not callable(rows)
@@ -318,8 +330,6 @@ def profile_determines(initial, rows, alphabet_size: int, k: int, t: int = 1,
         count = _profile_count(alphabet_size, k, budget)
         return OracleResult("unknown", None, budget) if count is None else \
             OracleResult("yes", None, count)
-    if short + span * alphabet_size > budget:
-        return OracleResult("unknown", None, budget)
 
     width = _slot_width(alphabet_size, k, t)
     if width:

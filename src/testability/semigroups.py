@@ -355,7 +355,8 @@ def check_generator_testability(s: FiniteSemigroup) -> Verdict:
 
 
 def _cayley_fold(s: FiniteSemigroup, columns):
-    """The fold (initial, table) of words into the elements of ``s``.
+    """The fold (initial, table, product) of words into the elements of
+    ``s``.
 
     Letter a stands for generator ``columns[a]``: row x of the table
     keeps column ``columns[a]`` of Cayley row x as entry a, and one last
@@ -367,21 +368,20 @@ def _cayley_fold(s: FiniteSemigroup, columns):
     letter-to-generator map of its transition semigroup, whose elements
     are in bijection with the node maps of the words, so the verdicts
     are the ones node maps would give.
+
+    ``product`` multiplies the fold's values, with which
+    ``profile_determines`` may settle a t = 1 "yes" without a search.
+    It is None when ``s`` already holds a local-testability "no": no
+    window fits such a semigroup (see the oracle module), and one read
+    of the verdict memo spares the loop condition that would fail.
     """
     table = [[row[j] for j in columns] for row in s.cayley]
     table.append(list(columns))
-    return s.element_count, table
-
-
-def _fold_product(s: FiniteSemigroup, t: int):
-    """The product on ``_cayley_fold``'s values, ``element_count`` the
-    adjoined identity, with which ``profile_determines`` settles a "yes"
-    at t = 1 without a search; None at t > 1, and when ``s`` is not
-    locally testable, since then no window fits (see the oracle module)."""
-    if t > 1 or _check(s, LOCAL_TESTABILITY).holds != YES:
-        return None
     one, prod = s.element_count, s.prod
-    return lambda x, y: y if x == one else x if y == one else prod(x, y)
+    lt = s._verdicts.get(LOCAL_TESTABILITY)
+    if lt is not None and lt.holds == NO:
+        return one, table, None
+    return one, table, lambda x, y: y if x == one else x if y == one else prod(x, y)
 
 
 def _order_search(s: FiniteSemigroup, columns, k_max: int, t: int,
@@ -395,8 +395,7 @@ def _order_search(s: FiniteSemigroup, columns, k_max: int, t: int,
     """
     if k_max < 1:
         raise BadK(f"largest window length {k_max} must be at least 1")
-    initial, table = _cayley_fold(s, columns)
-    product = _fold_product(s, t)
+    initial, table, product = _cayley_fold(s, columns)
     states = 0
     for k in range(1, k_max + 1):
         res = profile_determines(initial, table, len(columns), k, t, budget, product)

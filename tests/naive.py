@@ -62,6 +62,11 @@ def graph_rows(alphabet_size, node_count, delta):
     return tuple(tuple(row) for row in rows)
 
 
+def rows_of(gr):
+    """A graph's rows ``rows[p][c]``, transposed from its letter columns."""
+    return tuple(zip(*gr.columns))
+
+
 def sink_completed_rows(alphabet_size, node_count, rows):
     """The rows with every -1 sent to one new node, numbered last, that
     every letter keeps in place; the rows unchanged when none is -1."""
@@ -124,7 +129,7 @@ def transition_closure(gr):
     ids = {}
     gens, gen_letters, label_to_gen = [], [], []
     for a in range(gr.alphabet_size):
-        tr = tuple(row[a] for row in gr.delta)
+        tr = gr.columns[a]
         if tr not in ids:
             ids[tr] = len(gens)
             gens.append(tr)
@@ -426,7 +431,7 @@ def word_action(gr, word):
     """Node map of a letter word, folded left to right."""
     state = list(range(gr.node_count))
     for a in word:
-        state = [gr.delta[p][a] for p in state]
+        state = [gr.columns[a][p] for p in state]
     return tuple(state)
 
 

@@ -71,7 +71,7 @@ def eval_action(s):
 def graph_action(gr):
     """Fold a letter word to its node map, from raw rows."""
     def step(v, j):
-        return tuple(gr.delta[p][j] for p in v)
+        return tuple(gr.columns[j][p] for p in v)
     return tuple(range(gr.node_count)), step
 
 
@@ -99,12 +99,12 @@ def naive_graph_one_testable(gr):
     """Letterwise check straight off the transition rows."""
     for i in range(gr.alphabet_size):
         for p in range(gr.node_count):
-            q = gr.delta[p][i]
-            if gr.delta[q][i] != q:
+            q = gr.columns[i][p]
+            if gr.columns[i][q] != q:
                 return NO
         for j in range(i + 1, gr.alphabet_size):
             for p in range(gr.node_count):
-                if gr.delta[gr.delta[p][i]][j] != gr.delta[gr.delta[p][j]][i]:
+                if gr.columns[j][gr.columns[i][p]] != gr.columns[i][gr.columns[j][p]]:
                     return NO
     return YES
 
@@ -573,7 +573,7 @@ def test_criterion_15_closure_of_13517_elements():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(set(gr.delta)) == 166
+    assert len(set(zip(*gr.columns))) == 166
     assert ts.semigroup.element_count == 13_517
     assert peak < 12e6, f"peak {peak / 1e6:.1f} MB"
     assert elapsed < 5.0
@@ -697,3 +697,32 @@ def test_criterion_19_a_first_step_no_costs_what_the_search_reaches(tmp_path, ca
     with capsys.disabled():
         print(f"PASS criterion 19: a first-step no at k = 12 over three letters in "
               f"{elapsed:.3f}s < 0.5s at {peak / 1e6:.1f} MB traced peak < 10 MB")
+
+
+def test_criterion_20_window_questions_run_no_local_testability_scan():
+    # Criterion 15's graph: its 13,517-element transition semigroup is
+    # not locally testable, and no window fits it.  A fixed k and the
+    # order search under --props 1t close it, then fold and search; they
+    # run no local-testability scan, so each costs a small multiple of
+    # the closure (7.3-8.4 times when they ran the scan first).
+    rng = random.Random("testability:capacity-graph-8-3")
+    core = rng.sample(range(200), 8)
+    gr = TransitionGraph(3, 200, tuple(tuple(rng.choice(core) for _ in range(3))
+                                       for _ in range(200)))
+
+    def best_of_3(run):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            out = run()
+            times.append(time.perf_counter() - t0)
+        return min(times), out
+
+    closure, _ = best_of_3(lambda: transition_semigroup(gr))
+    fixed, report = best_of_3(lambda: analyze_graph(gr, [ONE_TESTABILITY], k=1))
+    assert report.verdicts[-1].holds == NO
+    order, report = best_of_3(lambda: analyze_graph(gr, [ONE_TESTABILITY], order=True))
+    assert (report.order.status, report.order.largest_failing) == ("none", 8)
+    assert fixed < 4 * closure and order < 4 * closure, (closure, fixed, order)
+    print(f"PASS criterion 20: --k 1 in {fixed / closure:.1f}x and --order in "
+          f"{order / closure:.1f}x the closure's {closure:.3f}s, both < 4x")

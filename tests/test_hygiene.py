@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never
 uses, anything from the tests or the benchmark, or anything outside the
 standard library, directly or at run time; no function assigns a local
-it never reads, and no module reads a graph's row view; no state is
-kept from one call to the next; the public surface is exactly what
+it never reads, and no module reads a graph's row view; the oracle
+imports from the package only its model; no state is kept from one call
+to the next; the public surface is exactly what
 ``__init__`` imports; every module-level function or class is
 exported or used; every name the benchmark's tracer wraps still
 exists; the README's Library section names only what the package
@@ -45,9 +46,9 @@ def test_every_import_is_used(path):
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_reads_the_row_view(path):
-    """A graph is its letter columns; ``TransitionGraph.delta`` derives
-    the rows from them for tests and callers, and no package code reads
-    it, so the row view stays a compatibility view."""
+    """A graph is its letter columns and has no row view: a ``.delta``
+    read left in any module, which would fail only when its line runs,
+    fails here."""
     tree = ast.parse(path.read_text())
     reads = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "delta"]
@@ -73,6 +74,18 @@ def test_package_imports_no_tests_or_benchmark(path):
     leaked = sorted(m for m in _imported_modules(tree)
                     if m.split(".")[0] in ("tests", "perfbench"))
     assert leaked == [], f"{path.name} imports {leaked}"
+
+
+def test_the_oracle_imports_no_package_module_but_the_model():
+    """The oracle searches folds and knows no property: whether a
+    semigroup is locally testable, and so whether its product is worth
+    handing over, is its callers' business, so a property check cannot
+    drift back into it."""
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    absolute = {m for m in _imported_modules(tree) if m.split(".")[0] == "testability"}
+    assert relative | absolute == {"model"}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

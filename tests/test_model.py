@@ -27,9 +27,9 @@ def test_fixture_tables_are_bit_exact():
     assert FIX.U1.cayley == ((0, 0), (0, 1))
     assert FIX.LZ2.cayley == ((0, 0), (1, 1))
     assert FIX.Z2.cayley == ((1,), (0,))
-    assert FIX.D_triv.delta == ((0, 0),)
-    assert FIX.D_parity.delta == ((1,), (0,))
-    assert FIX.D_ab.delta == ((1, 2), (2, 0), (2, 2))
+    assert naive.rows_of(FIX.D_triv) == ((0, 0),)
+    assert naive.rows_of(FIX.D_parity) == ((1,), (0,))
+    assert naive.rows_of(FIX.D_ab) == ((1, 2), (2, 0), (2, 2))
 
 
 def test_z2_products():
@@ -156,9 +156,9 @@ def test_constructor_errors_match_the_row_by_row_reference():
     for _ in range(300):
         a, g = rng.randrange(1, 4), rng.randrange(1, 6)
         base = (random_partial_graph if rng.random() < 0.5 else random_graph)(rng, g, a)
-        delta = _malform(rng, base.delta, -1, g - 1)
+        delta = _malform(rng, naive.rows_of(base), -1, g - 1)
         want = _outcome(naive.graph_rows, a, g, delta)
-        assert _outcome(lambda: TransitionGraph(a, g, iter(delta)).delta) == want
+        assert _outcome(lambda: naive.rows_of(TransitionGraph(a, g, iter(delta)))) == want
         graph_kinds.add(_kind(want))
     assert graph_kinds == {"ok", "expected # rows, got #", "row # has # cells, expected #",
                            "cell # at node # out of range"}
@@ -218,8 +218,8 @@ def test_column_path_errors_match_the_row_by_row_reference():
         a, n, columns = _malform_columns(rng, base.columns, g)
         rows = list(zip(*columns))
         want = _outcome(naive.graph_rows, a, n, rows)
-        assert _outcome(lambda: TransitionGraph._of_columns(a, n, columns).delta) == want
-        assert _outcome(lambda: TransitionGraph(a, n, rows).delta) == want
+        assert _outcome(lambda: naive.rows_of(TransitionGraph._of_columns(a, n, columns))) == want
+        assert _outcome(lambda: naive.rows_of(TransitionGraph(a, n, rows))) == want
         kinds.add(_kind(want))
     assert kinds == {"ok", "expected # rows, got #", "row # has # cells, expected #",
                      "cell # at node # out of range", "alphabet size # must be positive",
@@ -233,19 +233,19 @@ def test_rows_and_columns_build_equal_graphs():
     rng = seeded("rows-and-columns")
     for _ in range(200):
         g, a = rng.randrange(1, 7), rng.randrange(1, 4)
-        rows = (random_partial_graph if rng.random() < 0.5 else random_graph)(
-            rng, g, a).delta
+        rows = naive.rows_of((random_partial_graph if rng.random() < 0.5 else random_graph)(
+            rng, g, a))
         by_rows = TransitionGraph(a, g, iter(rows))
         by_columns = TransitionGraph._of_columns(a, g, map(list, zip(*rows)))
         assert by_rows == by_columns and hash(by_rows) == hash(by_columns)
         assert by_rows.columns == by_columns.columns == tuple(zip(*rows))
-        assert by_columns.delta == naive.graph_rows(a, g, rows)
+        assert naive.rows_of(by_columns) == naive.graph_rows(a, g, rows)
         assert by_rows.complete == (-1 not in (c for row in rows for c in row))
         changed = [list(row) for row in rows]
         changed[rng.randrange(g)][rng.randrange(a)] = rng.randrange(-1, g)
         assert (by_rows == TransitionGraph(a, g, changed)) == (tuple(map(tuple, changed))
                                                                == rows)
-    assert FIX.D_ab != FIX.D_ab.delta
+    assert FIX.D_ab != naive.rows_of(FIX.D_ab)
     assert repr(FIX.D_ab) == "TransitionGraph(alphabet=2, nodes=3)"
 
 

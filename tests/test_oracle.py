@@ -38,8 +38,8 @@ def eval_action(s):
 
 
 def graph_action(gr):
-    """Node-map composition, written out directly from the delta table."""
-    letters = [tuple(row[a] for row in gr.delta) for a in range(gr.alphabet_size)]
+    """Node-map composition, written out directly from the letter columns."""
+    letters = gr.columns
 
     def step(tr, a):
         return tuple(letters[a][p] for p in tr)
@@ -244,7 +244,7 @@ def _fold_corpus(count):
         g, a = rng.randrange(1, 5), rng.randrange(1, 4)
         gr = (random_partial_graph if rng.random() < 0.5 else random_graph)(rng, g, a)
         if a > 1 and rng.random() < 0.3:
-            gr = TransitionGraph(a, g, tuple(row[:-1] + (row[0],) for row in gr.delta))
+            gr = TransitionGraph(a, g, tuple(row[:-1] + (row[0],) for row in naive.rows_of(gr)))
         yield (complete_with_sink(gr), rng.randrange(1, 4), rng.randrange(1, 3),
                rng.choice((3, 50, 2000)))
 
@@ -518,9 +518,8 @@ def test_the_product_route_equals_the_search():
     (75,000 holds the 74,461 states of two letters at k = 4)."""
     seen = set()
     for s, columns in _product_folds():
-        initial, table = semigroups._cayley_fold(s, columns)
-        product = semigroups._fold_product(s, 1)
-        assert (product is not None) == _lt(s)
+        initial, table, product = semigroups._cayley_fold(s, columns)
+        lt = _lt(s)
         a = len(columns)
         for k in range(1, 6):
             for budget in (40, 700, 3000, 75_000)[:3 + (k < 5)]:
@@ -530,7 +529,7 @@ def test_the_product_route_equals_the_search():
                 if budget <= 700:
                     step = (lambda v, j, table=table: table[v][j])
                     assert res == naive.profile_search(initial, step, a, k, 1, budget)
-                seen.add((product is not None, res.status))
+                seen.add((lt, res.status))
     assert seen == {(lt, status) for lt in (True, False) for status in ("yes", "no", "unknown")} \
         - {(False, "yes")}
 
@@ -600,8 +599,7 @@ def test_the_work_bound_sends_the_call_back_to_the_search(monkeypatch):
     count = oracle._profile_count
     monkeypatch.setattr(oracle, "_profile_count", spy)
     s = free_semilattice(3)
-    initial, table = semigroups._cayley_fold(s, range(3))
-    product = semigroups._fold_product(s, 1)
+    initial, table, product = semigroups._cayley_fold(s, range(3))
     for budget, direct in ((71, False), (72, True)):
         counted.clear()
         res = profile_determines(initial, table, 3, 1, 1, budget, product)
@@ -609,14 +607,18 @@ def test_the_work_bound_sends_the_call_back_to_the_search(monkeypatch):
         assert bool(counted) == direct, budget
 
 
-def test_the_loop_condition_runs_only_on_locally_testable_folds_at_t1(monkeypatch):
-    """The callers hand the product over only at t = 1 and only for a
-    locally testable semigroup, and the oracle uses it only then."""
-    calls = []
+def test_the_loop_condition_runs_at_t1_and_holds_only_on_locally_testable_folds(
+        monkeypatch):
+    """The oracle tries the condition only at t = 1 and on tables (and
+    within dense bags, below); the callers hand it the product unless
+    the semigroup already holds a local-testability "no", and the
+    condition never holds on a fold whose semigroup is not locally
+    testable."""
+    held = []
 
     def spy(*args):
-        calls.append(args)
-        return loops_commute(*args)
+        held.append(loops_commute(*args))
+        return held[-1]
 
     loops_commute = oracle._loops_commute
     monkeypatch.setattr(oracle, "_loops_commute", spy)
@@ -624,23 +626,56 @@ def test_the_loop_condition_runs_only_on_locally_testable_folds_at_t1(monkeypatc
     rng = seeded("loop-condition-spy")
     for _ in range(40):
         gr = random_graph(rng, rng.randrange(1, 5), rng.randrange(1, 3))
+        lt = _lt(graphs.transition_semigroup(complete_with_sink(gr)).semigroup)
+        k = rng.randrange(1, 4)
         for t in (1, 2):
-            calls.clear()
-            report = analyze_graph(gr, (), k=rng.randrange(1, 4), t=t, order=True, k_max=3)
-            lt = _lt(graphs.transition_semigroup(complete_with_sink(gr)).semigroup)
-            assert not calls or (lt and t == 1), (gr.delta, t)
-            ran[bool(calls), lt, t] += 1
-            assert report.order is not None
+            for props in ((), (semigroups.LOCAL_TESTABILITY,)):
+                held.clear()
+                report = analyze_graph(gr, props, k=k, t=t, order=True, k_max=3)
+                assert report.order is not None
+                assert not held or t == 1, (gr.columns, t)
+                assert lt or not any(held), gr.columns
+                assert lt or not (props and held), gr.columns    # the stored "no"
+                ran[bool(held), any(held), lt, t, bool(props)] += 1
     for s in semigroup_zoo() + small_transformation_semigroups():
-        calls.clear()
+        held.clear()
         analyze_semigroup(s, (), order=True, k_max=3)
-        assert not calls or _lt(s)
-        ran[bool(calls), _lt(s), 1] += 1
+        lt = _lt(s)
+        assert lt or not any(held)
+        ran[bool(held), any(held), lt, 1, False] += 1
     # a step function at t = 1 with a product is searched too
-    calls.clear()
+    held.clear()
     profile_determines(0, lambda v, a: 0, 2, 2, 1, 1000, lambda x, y: 0)
-    assert calls == []
-    assert ran[True, True, 1] and ran[False, False, 1] and ran[False, True, 2]
+    assert held == []
+    assert ran[True, True, True, 1, False] and ran[True, False, False, 1, False]
+    assert ran[False, False, False, 1, True] and ran[False, False, True, 2, False]
+
+
+def test_window_questions_run_no_property_check(monkeypatch):
+    """A fixed k and the order search fold over the semigroup and search;
+    they run no property check, so a report that asks for none of them
+    (``--props 1t``) pays for none, on semigroups that are not locally
+    testable as on others."""
+    entered = []
+
+    def spy(prop, check):
+        return lambda s: entered.append(prop) or check(s)
+
+    for prop, check in list(semigroups.PROPERTY_CHECKS.items()):
+        monkeypatch.setitem(semigroups.PROPERTY_CHECKS, prop, spy(prop, check))
+    rng = seeded("no-property-check")
+    kinds = Counter()
+    while kinds[False] < 20:
+        gr = random_graph(rng, rng.randrange(2, 6), rng.randrange(1, 4))
+        ts = graphs.transition_semigroup(gr)
+        lt = semigroups.check_local_property(ts.semigroup, semigroups.LOCAL_TESTABILITY)
+        report = analyze_graph(gr, [semigroups.ONE_TESTABILITY], k=rng.randrange(1, 4),
+                               order=True, k_max=3)
+        assert report.order is not None
+        kinds[lt.holds == "yes"] += 1
+    for s in semigroup_zoo():
+        analyze_semigroup(s, (), order=True, k_max=3)
+    assert entered == [] and kinds[True]
 
 
 def test_the_product_route_stays_within_dense_bags(monkeypatch):

@@ -104,7 +104,7 @@ def test_parity_square_graph():
     square = graph_direct_product(FIX.D_parity, FIX.D_parity)
     assert square.alphabet_size == 1
     assert square.node_count == 4
-    assert square.delta == ((3,), (2,), (1,), (0,))
+    assert naive.rows_of(square) == ((3,), (2,), (1,), (0,))
 
 
 def test_product_with_one_node_graph():
@@ -118,8 +118,8 @@ def test_product_alphabet_is_the_common_prefix():
     # pair (p, q) steps to (delta1[p][c], delta2[q][c])
     for node in range(6):
         pq = (node // 3, node % 3)
-        target = (FIX.D_parity.delta[pq[0]][0], FIX.D_ab.delta[pq[1]][0])
-        assert p.delta[node][0] == target[0] * 3 + target[1]
+        target = (FIX.D_parity.columns[0][pq[0]], FIX.D_ab.columns[0][pq[1]])
+        assert p.columns[0][node] == target[0] * 3 + target[1]
 
 
 def test_graph_product_matches_the_row_by_row_reference():
@@ -130,7 +130,7 @@ def test_graph_product_matches_the_row_by_row_reference():
         gr1 = random_graph(rng, rng.randint(1, 6), rng.randint(1, 3))
         gr2 = random_graph(rng, rng.randint(1, 6), rng.randint(1, 3))
         product = graph_direct_product(gr1, gr2)
-        assert product.delta == naive.product_rows(gr1.delta, gr2.delta)
+        assert naive.rows_of(product) == naive.product_rows(naive.rows_of(gr1), naive.rows_of(gr2))
         assert product.alphabet_size == min(gr1.alphabet_size, gr2.alphabet_size)
         assert product.node_count == gr1.node_count * gr2.node_count
 
