@@ -8,8 +8,9 @@ most 256 nodes.  Algebraic properties are checked on it directly;
 window-size questions (a fixed k, or the least k) run the profile
 oracle on words folded over its Cayley rows, which gives the verdicts
 node maps would give, because distinct elements are distinct node
-maps.  1-testability is read off the letter maps alone.  Partial graphs are completed with a sink first; every
-analysis here assumes and enforces completeness.
+maps.  1-testability is read off the letter maps alone.  Partial
+graphs are completed with a sink first; every analysis here assumes
+and enforces completeness.
 """
 
 from __future__ import annotations

@@ -16,20 +16,21 @@ such code.  A word of k - 1 letters or more has the key
 ``bag << 2 * sbits | prefix << sbits | suffix``: the codes of its first
 and last k - 1 letters as prefix and suffix, and its saturated factor
 counts (counts capped at t) as bag, in one of the two encodings below.
-In both, bag k - 1 is the empty bag, which only the (k - 1)-letter
-words hold, and every other bag is larger.  No word shorter than k
-shares its profile with another word, so the search builds those words
-a whole level at a time, in code order, and never looks them up; the
-ones shorter than k - 1 letters get no key at all.  Nor do two k-letter
-words share a profile, since each bag holds only its word.  A longer
-word w shares the profile of a k-letter word u only at t = 1 (past it,
-u counts twice in w) and only as a**(k+j) against a**k: every k-factor
-of w is u, and two overlapping equal factors make u[1:] == u[:-1].  The
-search reaches such a w by a step from a**k itself, whose profile its
-first k + j - 1 letters share.  So the k-letter words head the queue, in
-code order, and each is keyed, and entered among the seen states, only
-when the queue reaches it: a "no" at the first step costs one key, not
-A**k.  Only longer words are looked up.
+In both, bag 0 is the empty bag, which only the (k - 1)-letter words
+hold, so such a word's key is ``code << sbits | code``.  No word
+shorter than k shares its profile with another word, so the search
+builds those words a whole level at a time, in code order, and never
+looks them up; the ones shorter than k - 1 letters get no key at all.
+Nor do two k-letter words share a profile, since each bag holds only
+its word.  A longer word w shares the profile of a k-letter word u only
+at t = 1 (past it, u counts twice in w) and only as a**(k+j) against
+a**k: every k-factor of w is u, and two overlapping equal factors make
+u[1:] == u[:-1].  The search reaches such a w by a step from a**k
+itself, whose profile its first k + j - 1 letters share.  So the
+k-letter words head the queue, in code order, and each is keyed, and
+entered among the seen states, only when the queue reaches it: a "no"
+at the first step costs one key, not A**k.  Only longer words are
+looked up.
 
 Appending a letter adds the factor ``suffix * A + letter``: the prefix
 stays, the suffix becomes the factor's last k - 1 letters, and the bag
@@ -41,21 +42,22 @@ encoding depends on A, k and t alone:
 
 - dense, when A**k slots of ``width`` = t.bit_length() bits fit in
   ``DENSE_BAG_BITS``: the bag is one integer whose slot at bit
-  ``low + code * width`` holds the count of that factor code, with
-  k - 1 in the ``low`` = (k - 1).bit_length() bits under the slots.
-  A move's slot is the factor's slot, full is t in it, unit is a one
-  in it and shift the change of suffix.  The A**k moves, at most
-  ``DENSE_BAG_BITS`` of them, form a table indexed by suffix; nothing
-  is interned.
+  ``code * width`` holds the count of that factor code, so in the key
+  the slots start at bit 2 * sbits, right above the prefix field, with
+  no marker bits under them.  A move's slot is the factor's slot, full
+  is t in it, unit is a one in it and shift the change of suffix.  The
+  A**k moves, at most ``DENSE_BAG_BITS`` of them, form a table indexed
+  by suffix; nothing is interned.
 - interned, past the bound: the bag is the id of a sorted tuple of
-  (factor code, count) pairs, ids from k on.  A state's moves are
-  built from its bag and suffix fields when it is expanded (a memo of
-  them was hit by under 2% of the states it was tried on): slot and
-  full are 0, and shift carries the change of bag id as well as of
-  suffix.  A grown bag is a copy of the tuple with one pair inserted or
-  counted up, found by bisection, and shares its other pairs.  Such a
-  bag holds one pair per distinct factor of its word, so memory per
-  state is bounded by the word, not by A**k.
+  (factor code, count) pairs, the other bags' ids from 1 on, in the
+  order the search meets them.  A state's moves are built from its bag
+  and suffix fields when it is expanded (a memo of them was hit by under
+  2% of the states it was tried on): slot and full are 0, and shift
+  carries the change of bag id as well as of suffix.  A grown bag is a
+  copy of the tuple with one pair inserted or counted up, found by
+  bisection, and shares its other pairs.  Such a bag holds one pair per
+  distinct factor of its word, so memory per state is bounded by the
+  word, not by A**k.
 
 A dense key spends A**k * width bits however short its word is.  For a
 constant fold, t = 1 and a budget of 100,000 states (2-core host,
@@ -111,7 +113,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, product as words_of_length
+from itertools import chain
 from math import perm
 
 from .model import BadK
@@ -185,7 +187,10 @@ def _loops_commute(levels, product, size: int, alphabet_size: int, budget: int) 
 
     The walk takes the (k - 1)-letter words in code order, builds S¹·c
     for each value c it reaches, once, and scans each distinct (c,
-    period values) pair once.  One running total weighs the work: size
+    period values) pair once.  Periods are read from the word's code:
+    p is a period of u exactly when u's last and first k - 1 - p
+    letters agree, that is, when ``code % A**(k - 1 - p)`` equals
+    ``code // A**p``.  One running total weighs the work: size
     products for each new c before its set is built, and |T_u|**2
     before a set is scanned.  The answer is False at the first set that
     fails, or once the total passes ``budget``; the caller then searches
@@ -195,15 +200,14 @@ def _loops_commute(levels, product, size: int, alphabet_size: int, budget: int) 
     lefts: dict = {}    # c -> S¹·c
     scanned = set()
     work = 0
-    for code, word in enumerate(words_of_length(range(alphabet_size), repeat=first)):
-        c = levels[first][code]
+    for code, c in enumerate(levels[first]):
         if c not in lefts:
             work += size
             if work > budget:
                 return False
             lefts[c] = {product(v, c) for v in range(size)}
-        tails = frozenset(levels[p][code % alphabet_size ** p]
-                          for p in range(1, first) if word[p:] == word[:-p])
+        tails = frozenset(levels[p][code % alphabet_size ** p] for p in range(1, first)
+                          if code % alphabet_size ** (first - p) == code // alphabet_size ** p)
         if (c, tails) in scanned:
             continue
         scanned.add((c, tails))
@@ -221,22 +225,23 @@ def _loops_commute(levels, product, size: int, alphabet_size: int, budget: int) 
     return True
 
 
-def _profile_count(alphabet_size: int, k: int, budget: int) -> int | None:
+def _profile_count(alphabet_size: int, k: int, short: int, budget: int) -> int | None:
     """N(A, k), the number of k-profiles (t = 1) of the words over A
     letters, or None once it passes ``budget``.
 
     A search that answers "yes" visits each of them once, whatever the
-    fold, so this is its state count.  The words shorter than k are
-    their own profiles.  Longer words are counted per (k - 1)-letter
-    prefix, by a breadth-first walk over (bag, suffix) pairs, level by
-    level, with the bag a bitmask of the factor codes seen, and no
-    values.  A permutation of the letters maps profiles to profiles, so
-    the walk starts only from prefixes whose letters first appear in the
-    order 0, 1, 2, ..., and counts each one times the size of its orbit,
-    A!/(A - m)! for m distinct letters.
+    fold, so this is its state count.  The ``short`` words shorter than
+    k are their own profiles, and the count starts from them.  Longer
+    words are counted per (k - 1)-letter prefix, by a breadth-first walk
+    over (bag, suffix) pairs, level by level, with the bag a bitmask of
+    the factor codes seen, and no values.  A permutation of the letters
+    maps profiles to profiles, so the walk starts only from prefixes
+    whose letters first appear in the order 0, 1, 2, ..., and counts
+    each one times the size of its orbit, A!/(A - m)! for m distinct
+    letters.
     """
     span = alphabet_size ** (k - 1)
-    total = sum(alphabet_size ** length for length in range(k))
+    total = short
     moves = [[(1 << factor, factor % span)
               for factor in range(suffix * alphabet_size, (suffix + 1) * alphabet_size)]
              for suffix in range(span)]
@@ -292,8 +297,12 @@ def profile_determines(initial, rows, alphabet_size: int, k: int, t: int = 1,
     conflicting step, in BFS order with letters ascending, yields a
     deterministic shortest-first witness pair reconstructed through
     parent links.  Reaching ``budget`` states before the search settles
-    gives "unknown", at once if the words of at most k letters, each a
-    profile of its own, are more.
+    gives "unknown".  The words of at most k letters are each a profile
+    of its own, so a walk over their level sizes answers "unknown"
+    before any row is read once they are more than ``budget``: it stops
+    at the first j with more than ``budget`` words of at most j letters,
+    a count that only grows with j, so it runs at most k steps and at
+    most ``budget`` of them.
 
     The words shorter than k fill whole levels and are never looked up.
     The k-letter words are keyed as the queue reaches them, so their
@@ -309,57 +318,55 @@ def profile_determines(initial, rows, alphabet_size: int, k: int, t: int = 1,
         raise BadK(f"threshold {t} must be at least 1")
     if budget < 1:
         raise ValueError(f"budget {budget} must be at least 1")
-    short = sum(alphabet_size ** length for length in range(k))
-    if short + alphabet_size ** k > budget:
-        return OracleResult("unknown", None, budget)
+    short, size = 0, 1    # the words of fewer than j letters, and of j
+    for _ in range(k):
+        short, size = short + size, size * alphabet_size
+        if short + size > budget:
+            return OracleResult("unknown", None, budget)
+    span = size // alphabet_size
     letters = range(alphabet_size)
-    direct = (product is not None and t == 1 and not callable(rows)
-              and alphabet_size ** k <= DENSE_BAG_BITS)
+    width = _slot_width(alphabet_size, k, t)
+    direct = product is not None and width == 1 and not callable(rows)    # dense, t = 1
     if callable(rows):
         step = rows
         rows = _Lookup(lambda value: [step(value, letter) for letter in letters])
-    first = k - 1    # the empty bag, and the bag of the (k - 1)-letter words
-    span = alphabet_size ** first
     sbits = (span - 1).bit_length()
     suffix_mask = (1 << sbits) - 1
 
     levels = [[initial]]
-    for _ in range(first):
+    for _ in range(k - 1):
         levels.append(list(chain.from_iterable(map(rows.__getitem__, levels[-1]))))
     if direct and _loops_commute(levels, product, len(rows), alphabet_size, budget):
-        count = _profile_count(alphabet_size, k, budget)
+        count = _profile_count(alphabet_size, k, short, budget)
         return OracleResult("unknown", None, budget) if count is None else \
             OracleResult("yes", None, count)
 
-    width = _slot_width(alphabet_size, k, t)
     if width:
         # dense bags: the capped counts, one slot per factor code above
-        # the low bits that hold first; moves by the suffix field
+        # the prefix and suffix fields; moves by the suffix field
         field = suffix_mask
-        low = 2 * sbits + first.bit_length()
         slot_mask = (1 << width) - 1
 
         def dense_moves(suffix: int) -> list[tuple[int, int, int, int, int]]:
             out = []
             for letter in letters:
                 factor = suffix * alphabet_size + letter
-                unit = 1 << low + factor * width
+                unit = 1 << 2 * sbits + factor * width
                 out.append((unit * slot_mask, unit * t, unit, factor % span - suffix, letter))
             return out
 
         moves = list(map(dense_moves, range(span)))
     else:
-        # interned bags: bag id first + i names bags[i], a sorted tuple
-        # of (factor code, count) pairs; moves by the bag and suffix
-        # fields, built per state, each shift carrying the change of bag
-        # id too
+        # interned bags: bag id i names bags[i], a sorted tuple of
+        # (factor code, count) pairs; moves by the bag and suffix fields,
+        # built per state, each shift carrying the change of bag id too
         field = -1
         bags: list[tuple[tuple[int, int], ...]] = [()]
-        bag_ids = {(): first}
+        bag_ids = {(): 0}
 
         def interned_moves(key: int) -> list[tuple[int, int, int, int, int]]:
             bag, suffix = key >> 2 * sbits, key & suffix_mask
-            pairs = bags[bag - first]
+            pairs = bags[bag]
             out = []
             for letter in letters:
                 factor = suffix * alphabet_size + letter
@@ -368,7 +375,7 @@ def profile_determines(initial, rows, alphabet_size: int, k: int, t: int = 1,
                 grown = bag
                 if count < t:
                     frozen = pairs[:at] + ((factor, count + 1),) + pairs[at + (count > 0):]
-                    fresh = first + len(bags)
+                    fresh = len(bags)
                     grown = bag_ids.setdefault(frozen, fresh)
                     if grown == fresh:
                         bags.append(frozen)
@@ -382,7 +389,7 @@ def profile_determines(initial, rows, alphabet_size: int, k: int, t: int = 1,
     # the parent link pid * alphabet_size + letter of each is its id less
     # one; ``parent`` holds the links of the longer words, numbered from
     # ``numbered`` on in discovery order.
-    numbered = short + span * alphabet_size
+    numbered = short + size
 
     def word_of(pid: int) -> tuple[int, ...]:
         out = []
@@ -392,12 +399,12 @@ def profile_determines(initial, rows, alphabet_size: int, k: int, t: int = 1,
             out.append(letter)
         return tuple(reversed(out))
 
-    def k_letter_words(seen):
+    def k_letter_words():
         """The k-letter words in code order, each entered into ``seen``
         when the queue reaches it.  A (k - 1)-letter word's prefix and
         suffix fields both hold its code."""
         for code, value in enumerate(levels[-1]):
-            key = first << 2 * sbits | code << sbits | code
+            key = code << sbits | code
             for (slot, full, unit, shift, _), reached in zip(moves[key & field], rows[value]):
                 head = (key if key & slot == full else key + unit) + shift
                 seen[head] = reached
@@ -408,7 +415,7 @@ def profile_determines(initial, rows, alphabet_size: int, k: int, t: int = 1,
     found = numbered
     missing = object()
     link = (short - 1) * alphabet_size
-    for states in (k_letter_words(seen), zip(keys, values)):
+    for states in (k_letter_words(), zip(keys, values)):
         for key, value in states:
             link += alphabet_size
             for (slot, full, unit, shift, letter), reached in zip(moves[key & field], rows[value]):

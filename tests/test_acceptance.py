@@ -29,6 +29,7 @@ from testability import (
     STRICT_LOCAL_TESTABILITY,
     THRESHOLD_LOCAL_TESTABILITY,
     TransitionGraph,
+    UNKNOWN,
     YES,
     analyze_graph,
     analyze_semigroup,
@@ -726,3 +727,26 @@ def test_criterion_20_window_questions_run_no_local_testability_scan():
     assert fixed < 4 * closure and order < 4 * closure, (closure, fixed, order)
     print(f"PASS criterion 20: --k 1 in {fixed / closure:.1f}x and --order in "
           f"{order / closure:.1f}x the closure's {closure:.3f}s, both < 4x")
+
+
+def test_criterion_21_the_budget_bounds_the_window_set_up():
+    # Two letters at k = 150,000: the words of at most k letters, each a
+    # profile of its own, outnumber the budget, and a walk over their
+    # level sizes answers "unknown" before any row is read (25.0 s when
+    # a big-integer sum sized them first).  One letter at k = 60,000:
+    # the loop condition reads each period of the 59,999-letter word
+    # from its code (18.1 s when it compared word tuples).
+    cases = (("2 2\n1 0\n1 0\n", 150_000, UNKNOWN,
+              "budget exceeded: 1000000 profile states at k=150000, t=1", 0.5),
+             ("1 1\n0\n", 60_000, YES, "k=60000, t=1: 60001 profile states", 2.0))
+    times = []
+    for text, k, holds, detail, bound in cases:
+        gr = parse_graph(text)
+        t0 = time.perf_counter()
+        report = analyze_graph(gr, [ONE_TESTABILITY], k=k)
+        elapsed = time.perf_counter() - t0
+        verdict = report.verdicts[-1]
+        assert (verdict.holds, verdict.detail) == (holds, detail)
+        assert elapsed < bound, f"k={k}: {elapsed:.2f}s"
+        times.append(f"k = {k:,} in {elapsed:.3f}s < {bound}s")
+    print(f"PASS criterion 21: {' and '.join(times)}")

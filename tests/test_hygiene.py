@@ -7,7 +7,7 @@ to the next; the public surface is exactly what
 ``__init__`` imports; every module-level function or class is
 exported or used; every name the benchmark's tracer wraps still
 exists; the README's Library section names only what the package
-exports."""
+exports; no package line is longer than 99 characters."""
 
 import ast
 import dataclasses
@@ -53,6 +53,13 @@ def test_no_module_reads_the_row_view(path):
     reads = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "delta"]
     assert reads == [], f"{path.name} reads .delta on lines {reads}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_line_is_longer_than_99_characters(path):
+    long = [number for number, line in enumerate(path.read_text().splitlines(), 1)
+            if len(line) > 99]
+    assert long == [], f"{path.name} has lines over 99 characters: {long}"
 
 
 def test_every_module_is_scanned():

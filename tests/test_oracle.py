@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from testability import (
+    DEFAULT_BUDGET,
     BadK,
     FiniteSemigroup,
     TransitionGraph,
@@ -94,6 +95,21 @@ def test_budget_of_one_state_stops_at_the_empty_word():
     initial, step = graph_action(FIX.D_ab)
     res = search(initial, step, 2, 3, budget=1)
     assert (res.status, res.witness, res.states) == ("unknown", None, 1)
+
+
+@pytest.mark.parametrize("a, k, budget", [(2, 20, DEFAULT_BUDGET), (1, 10**6, 10**6)])
+def test_a_window_over_the_budget_reads_no_row(a, k, budget):
+    """When the words of at most k letters, each a profile of its own,
+    outnumber the budget, the answer is "unknown" at the budget before
+    the fold is read: the step function is never called."""
+    calls = []
+
+    def step(value, letter):
+        calls.append((value, letter))
+        return value
+
+    res = profile_determines(0, step, a, k, 1, budget)
+    assert (res.status, res.witness, res.states, calls) == ("unknown", None, budget, [])
 
 
 @pytest.mark.parametrize("budget", [0, -1])
@@ -534,14 +550,20 @@ def test_the_product_route_equals_the_search():
         - {(False, "yes")}
 
 
-@pytest.mark.parametrize("a, k, states", [(2, 4, 74_461), (3, 2, 1_615), (4, 2, 442_393)])
+@pytest.mark.parametrize("a, k, states", [(2, 4, 74_461), (3, 2, 1_615), (4, 2, 442_393),
+                                          (2, 5, None), (3, 3, None), (5, 2, None)])
 def test_the_product_route_around_the_readme_rows(a, k, states):
     """A budget one short of the state count gives "unknown" at the
     budget; at the count and one past it, "yes" with the count; as the
-    search does, which the smaller rows also check directly."""
+    search does, which the smaller rows also check directly.  The rows
+    that exhaust the budget (no count) give "unknown" at 10**6."""
     def constant(x, y):
         return 0
 
+    if states is None:
+        res = profile_determines(0, [[0] * a], a, k, 1, DEFAULT_BUDGET, constant)
+        assert (res.status, res.witness, res.states) == ("unknown", None, DEFAULT_BUDGET)
+        return
     for budget, want in ((states - 1, ("unknown", None, states - 1)),
                          (states, ("yes", None, states)),
                          (states + 1, ("yes", None, states))):
@@ -558,7 +580,7 @@ def test_profile_count_equals_the_constant_fold_search(a, k):
     two words apart, and None exactly when that search runs out."""
     for budget in (1_000, 20_000):
         res = profile_determines(0, [[0] * a], a, k, 1, budget)
-        count = oracle._profile_count(a, k, budget)
+        count = oracle._profile_count(a, k, sum(a ** n for n in range(k)), budget)
         assert (res.status, res.states) == (("yes", count) if count is not None
                                             else ("unknown", budget)), budget
 
