@@ -10,7 +10,7 @@ graphs and semigroups and the graph-to-semigroup construction.
 """
 
 from .graphs import (K_TESTABILITY, TransitionSemigroup, analyze_graph,
-                     complete_with_sink, letter_transformations, transition_semigroup)
+                     complete_with_sink, transition_semigroup)
 from .io_formats import (BadToken, CellOutOfRange, HeaderInconsistent,
                          NonpositiveHeader, NumberTooLong, ParseError, TooFewNumbers,
                          parse_graph, parse_semigroup, render_report, write_graph,
@@ -52,7 +52,7 @@ __all__ = [
     "check_local_property", "compose", "complete_with_sink",
     "format_word", "graph_direct_product", "identity_map", "idempotents",
     "is_aperiodic", "is_piecewise_testable", "is_threshold_locally_testable",
-    "j_classes", "letter_name", "letter_transformations", "local_submonoid",
+    "j_classes", "letter_name", "local_submonoid",
     "parse_graph", "parse_semigroup", "profile_determines", "render_report",
     "semigroup_direct_product", "strongly_connected_components",
     "transition_semigroup", "write_graph", "write_semigroup",

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .model import (NO, UNKNOWN, YES, FiniteSemigroup, IncompleteInput,
-                    PropertyReport, TransitionGraph, Transformation, UNDEFINED,
-                    Verdict, compose, format_word, letter_name)
+                    PropertyReport, TransitionGraph, UNDEFINED, Verdict, compose,
+                    format_word, letter_name)
 from .oracle import DEFAULT_BUDGET, DEFAULT_K_MAX, profile_determines
 from .semigroups import (ASSOCIATIVITY, ONE_TESTABILITY, _cayley_fold, _check,
                          _order_search, _resolve_properties)
@@ -42,51 +42,46 @@ def complete_with_sink(gr: TransitionGraph) -> TransitionGraph:
         ([sink if c == UNDEFINED else c for c in column] + [sink] for column in gr.columns))
 
 
-def letter_transformations(gr: TransitionGraph) -> tuple[Transformation, ...]:
-    """The node map of each letter, in label order."""
-    if not gr.complete:
-        raise IncompleteInput("graph has undefined transitions; complete it first")
-    return gr.columns
-
-
 @dataclass(frozen=True)
 class TransitionSemigroup:
     """A graph's transformation semigroup plus the letter bookkeeping.
 
-    Letters with identical node maps share one generator;
-    ``label_to_generator`` maps each letter to its generator and
-    ``generator_letters`` picks the first letter for each generator, so
-    element indices can be translated back into readable words.
+    Letters with identical node maps share one generator, and
+    ``label_to_generator`` maps each letter to its generator.
+    Generators are numbered in the order their first letters appear, so
+    element indices translate back into readable words.
     """
 
     semigroup: FiniteSemigroup
     label_to_generator: tuple[int, ...]
-    generator_letters: tuple[int, ...]
 
     def element_word(self, x: int) -> tuple[int, ...]:
-        """One letter word whose action is element x."""
-        return tuple(self.generator_letters[j]
-                     for j in self.semigroup.factorization[x])
+        """One letter word whose action is element x: each generator is
+        written as the first letter that stands for it."""
+        return tuple(map(self.label_to_generator.index, self.semigroup.factorization[x]))
 
 
 def transition_semigroup(gr: TransitionGraph) -> TransitionSemigroup:
-    """Close the letter transformations under composition.
+    """Close the letter transformations of a complete graph under
+    composition (IncompleteInput on a partial one).
 
     Elements are numbered in shortlex order of their least generator
     words.  The node maps live only while ``_closure`` runs: the result
-    keeps only the Cayley table, its steps and words, and the letter
-    names.
+    keeps only the Cayley table, its steps and words, and the
+    letter-to-generator map.
     """
-    rows, steps, label_to_gen, gen_letters = _closure(gr)
+    if not gr.complete:
+        raise IncompleteInput("graph has undefined transitions; complete it first")
+    rows, steps, label_to_gen = _closure(gr)
     sg = FiniteSemigroup(rows, _steps=steps)
     # Composition of maps is associative, so Light's test is skipped.
     sg._verdicts[ASSOCIATIVITY] = Verdict(ASSOCIATIVITY, YES)
-    return TransitionSemigroup(sg, tuple(label_to_gen), tuple(gen_letters))
+    return TransitionSemigroup(sg, tuple(label_to_gen))
 
 
 def _closure(gr: TransitionGraph):
-    """Cayley rows, breadth-first steps, letter-to-generator map and
-    generator letters of the closure of the letter maps.
+    """Cayley rows, breadth-first steps and letter-to-generator map of
+    the closure of the letter maps.
 
     One breadth-first loop composes every element, in discovery order,
     with every generator, ascending, so elements are numbered in
@@ -103,7 +98,7 @@ def _closure(gr: TransitionGraph):
     ``bytes.translate`` with the generator's map on the image, padded
     to 256 bytes, as table; a larger image keeps tuples and ``compose``.
     """
-    letters = letter_transformations(gr)
+    letters = gr.columns
     image = sorted(set().union(*letters))
     code = {p: i for i, p in enumerate(image)}
     if len(image) <= 256:
@@ -133,14 +128,14 @@ def _closure(gr: TransitionGraph):
                 steps.append((z, x, j))
             row.append(z)
         rows.append(tuple(row))
-    return rows, steps, label_to_gen, gen_letters
+    return rows, steps, label_to_gen
 
 
 def _one_testability(gr: TransitionGraph) -> Verdict:
     """Letters must be idempotent and pairwise commuting node maps, so a
     word's action depends only on its letter set.  Witnesses are
     (letter, node) and (letter, letter, node), least first."""
-    letters = letter_transformations(gr)
+    letters = gr.columns
     for u, tu in enumerate(letters):
         for p in range(gr.node_count):
             if tu[tu[p]] != tu[p]:

@@ -122,15 +122,13 @@ class TransitionGraph:
 
     @classmethod
     def _of_columns(cls, alphabet_size: int, node_count: int, columns):
-        """The builders' path: equal-length columns of ints, one C-level
-        check, and the rows' walk only to name what fails it."""
-        columns = tuple(map(tuple, columns))
-        if not (node_count >= 1 and len(columns) == alphabet_size
-                and set(map(len, columns)) == {node_count}
-                and UNDEFINED <= min(map(min, columns)) and max(map(max, columns)) < node_count):
-            return cls(alphabet_size, node_count, zip(*columns))
+        """The builders' path, unchecked: ``alphabet_size`` columns of
+        ``node_count`` ints, each in -1..node_count-1.  Only a parsed
+        table whose cells were range-checked, or a graph built from
+        valid graphs, may come this way."""
         gr = cls.__new__(cls)
-        gr.alphabet_size, gr.node_count, gr.columns = alphabet_size, node_count, columns
+        gr.alphabet_size, gr.node_count = alphabet_size, node_count
+        gr.columns = tuple(map(tuple, columns))
         return gr
 
     @property

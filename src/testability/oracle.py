@@ -114,7 +114,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from math import perm
+from math import isqrt, perm
 
 from .model import BadK
 
@@ -192,9 +192,11 @@ def _loops_commute(levels, product, size: int, alphabet_size: int, budget: int) 
     letters agree, that is, when ``code % A**(k - 1 - p)`` equals
     ``code // A**p``.  One running total weighs the work: size
     products for each new c before its set is built, and |T_u|**2
-    before a set is scanned.  The answer is False at the first set that
-    fails, or once the total passes ``budget``; the caller then searches
-    as before.
+    before a set is scanned.  S¹·c is built one product at a time and
+    given up once its size squared would pass the budget, since T_u
+    contains it.  The answer is False at the first set that fails, or
+    once the total passes ``budget``; the caller then searches as
+    before.
     """
     first = len(levels) - 1
     lefts: dict = {}    # c -> S¹·c
@@ -205,7 +207,12 @@ def _loops_commute(levels, product, size: int, alphabet_size: int, budget: int) 
             work += size
             if work > budget:
                 return False
-            lefts[c] = {product(v, c) for v in range(size)}
+            left = lefts[c] = set()
+            most = isqrt(budget - work)    # the largest |T_u| the budget can scan
+            for v in range(size):
+                left.add(product(v, c))
+                if len(left) > most:
+                    return False
         tails = frozenset(levels[p][code % alphabet_size ** p] for p in range(1, first)
                           if code % alphabet_size ** (first - p) == code // alphabet_size ** p)
         if (c, tails) in scanned:

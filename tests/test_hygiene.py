@@ -7,7 +7,8 @@ to the next; the public surface is exactly what
 ``__init__`` imports; every module-level function or class is
 exported or used; every name the benchmark's tracer wraps still
 exists; the README's Library section names only what the package
-exports; no package line is longer than 99 characters."""
+exports; no package line is longer than 99 characters; only the
+trusted builders call the unchecked constructors."""
 
 import ast
 import dataclasses
@@ -240,6 +241,36 @@ def test_every_package_function_is_used():
         if not any(name in _names_outside(tree, {node}) for tree in trees.values()):
             unused.append(f"{module}.{name}")
     assert unused == [], f"defined but never named: {unused}"
+
+
+def _unchecked_calls(tree):
+    """(unchecked path, enclosing function) for each call in ``tree`` to
+    ``TransitionGraph._of_columns`` or that hands ``FiniteSemigroup``
+    its ``_steps``; "<module>" outside any function."""
+    owner = {}
+    for fn in ast.walk(tree):    # breadth first, so a nested function wins
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "_of_columns":
+            yield "_of_columns", owner.get(node, "<module>")
+        if any(kw.arg == "_steps" for kw in node.keywords):
+            yield "_steps", owner.get(node, "<module>")
+
+
+def test_unchecked_constructors_have_only_their_trusted_callers():
+    """``TransitionGraph._of_columns`` stores its columns unchecked, and
+    ``FiniteSemigroup(..., _steps=...)`` takes its rows and steps without
+    a walk.  Only a parsed table whose cells were range-checked, a graph
+    built from valid graphs and the closure of a graph's letter maps may
+    take them, so a new caller needs an edit of this list."""
+    found = {call for path in sorted(PACKAGE.glob("*.py"))
+             for call in _unchecked_calls(ast.parse(path.read_text()))}
+    assert found == {("_of_columns", "parse_graph"), ("_of_columns", "complete_with_sink"),
+                     ("_of_columns", "graph_direct_product"),
+                     ("_steps", "transition_semigroup")}
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():

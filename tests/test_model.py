@@ -10,10 +10,13 @@ from testability import (
     NotGenerated,
     TransitionGraph,
     Verdict,
+    complete_with_sink,
     compose,
     format_word,
+    graph_direct_product,
     identity_map,
     letter_name,
+    parse_graph,
 )
 from testability.model import OrderResult, PropertyReport
 from tests import naive
@@ -207,9 +210,11 @@ def _malform_columns(rng, columns, node_count):
 
 
 def test_column_path_errors_match_the_row_by_row_reference():
-    """The builders' column path raises what the public constructor and
-    the row-by-row reference raise for the same table read as rows, and
-    stores what they store."""
+    """A table malformed column by column, read as rows, makes the
+    public constructor raise what the row-by-row reference raises, and
+    store what it stores.  The builders' column path is unchecked, and
+    ``test_builders_store_only_what_the_constructor_accepts`` checks
+    that only valid tables reach it."""
     rng = seeded("column-errors")
     kinds = set()
     for _ in range(400):
@@ -218,7 +223,6 @@ def test_column_path_errors_match_the_row_by_row_reference():
         a, n, columns = _malform_columns(rng, base.columns, g)
         rows = list(zip(*columns))
         want = _outcome(naive.graph_rows, a, n, rows)
-        assert _outcome(lambda: naive.rows_of(TransitionGraph._of_columns(a, n, columns))) == want
         assert _outcome(lambda: naive.rows_of(TransitionGraph(a, n, rows))) == want
         kinds.add(_kind(want))
     assert kinds == {"ok", "expected # rows, got #", "row # has # cells, expected #",
@@ -247,6 +251,27 @@ def test_rows_and_columns_build_equal_graphs():
                                                                == rows)
     assert FIX.D_ab != naive.rows_of(FIX.D_ab)
     assert repr(FIX.D_ab) == "TransitionGraph(alphabet=2, nodes=3)"
+
+
+def test_builders_store_only_what_the_constructor_accepts():
+    """The builders' column path checks nothing, so each builder must
+    hand it a table the public constructor accepts as the same graph:
+    the parser, sink completion and the direct product of two completed
+    graphs, on complete and partial graphs."""
+    rng = seeded("trusted-builders")
+    built = []
+    for _ in range(150):
+        g, a = rng.randrange(1, 6), rng.randrange(1, 4)
+        gr = (random_partial_graph if rng.random() < 0.5 else random_graph)(rng, g, a)
+        text = f"{a} {g}\n" + "".join(" ".join(map(str, row)) + "\n"
+                                      for row in naive.rows_of(gr))
+        other = complete_with_sink(random_partial_graph(rng, rng.randrange(1, 5),
+                                                        rng.randrange(1, 4)))
+        built += [parse_graph(text), complete_with_sink(gr),
+                  graph_direct_product(complete_with_sink(gr), other)]
+    for gr in built:
+        assert TransitionGraph(gr.alphabet_size, gr.node_count, naive.rows_of(gr)) == gr
+    assert not all(gr.complete for gr in built)
 
 
 def test_handed_records_leave_the_public_checks_in_place():

@@ -4,6 +4,7 @@ and against the reference search keyed by ``naive.profile``.
 The folds here are step functions, as the references take them; the
 package reads each one as its table of rows, through ``search``."""
 
+import random
 import tracemalloc
 from collections import Counter
 from itertools import product as iter_product
@@ -627,6 +628,34 @@ def test_the_work_bound_sends_the_call_back_to_the_search(monkeypatch):
         res = profile_determines(initial, table, 3, 1, 1, budget, product)
         assert (res.status, res.states) == ("yes", 8)
         assert bool(counted) == direct, budget
+
+
+def test_the_loop_condition_stops_building_a_left_set_the_budget_cannot_scan(
+        monkeypatch):
+    """Criterion 15's graph: its 13,517-element transition semigroup is
+    not locally testable.  T_u contains S¹·c, so S¹·c is given up once
+    its size squared passes the budget: each call makes at most 2,000
+    products, where building all of S¹·c takes 13,518."""
+    products = []
+
+    def spy(levels, product, *rest):
+        products.append(0)
+
+        def counted(x, y):
+            products[-1] += 1
+            return product(x, y)
+
+        return loops_commute(levels, counted, *rest)
+
+    loops_commute = oracle._loops_commute
+    monkeypatch.setattr(oracle, "_loops_commute", spy)
+    rng = random.Random("testability:capacity-graph-8-3")
+    core = rng.sample(range(200), 8)
+    gr = TransitionGraph(3, 200, tuple(tuple(rng.choice(core) for _ in range(3))
+                                       for _ in range(200)))
+    report = analyze_graph(gr, [semigroups.ONE_TESTABILITY], order=True)
+    assert (report.order.status, report.order.largest_failing) == ("none", 8)
+    assert products and max(products) <= 2_000, products
 
 
 def test_the_loop_condition_runs_at_t1_and_holds_only_on_locally_testable_folds(
