@@ -6,11 +6,11 @@ composition), built at most once per analysis by one breadth-first
 loop over node maps, coded as byte strings when the letters reach at
 most 256 nodes.  Algebraic properties are checked on it directly;
 window-size questions (a fixed k, or the least k) run the profile
-oracle on words folded over its Cayley rows, which gives the verdicts
-node maps would give, because distinct elements are distinct node
-maps.  1-testability is read off the letter maps alone.  Partial
-graphs are completed with a sink first; every analysis here assumes
-and enforces completeness.
+oracle on words folded over its Cayley rows, one fold for both, which
+gives the verdicts node maps would give, because distinct elements are
+distinct node maps.  1-testability is read off the letter maps alone.
+Partial graphs are completed with a sink first; every analysis here
+assumes and enforces completeness.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ def complete_with_sink(gr: TransitionGraph) -> TransitionGraph:
         return gr
     sink = gr.node_count
     return TransitionGraph._of_columns(
-        gr.alphabet_size, sink + 1,
-        ([sink if c == UNDEFINED else c for c in column] + [sink] for column in gr.columns))
+        [sink if c == UNDEFINED else c for c in column] + [sink] for column in gr.columns)
 
 
 @dataclass(frozen=True)
@@ -106,14 +105,13 @@ def _closure(gr: TransitionGraph):
     else:
         encode, step, pad = tuple, compose, ()
     ids: dict = {}
-    gen_letters: list[int] = []
+    tables = []    # each generator's map on the image, from its first letter
     label_to_gen: list[int] = []
     for a, tr in enumerate(zip(*dict.fromkeys(zip(*letters)))):
         j = ids.setdefault(encode(code[p] for p in tr), len(ids))
-        if j == len(gen_letters):
-            gen_letters.append(a)
+        if j == len(tables):
+            tables.append(encode(code[letters[a][p]] for p in image) + pad)
         label_to_gen.append(j)
-    tables = [encode(code[letters[a][p]] for p in image) + pad for a in gen_letters]
     elements = list(ids)
     steps: list[tuple[int, int, int]] = []
     rows: list[tuple[int, ...]] = []
@@ -152,10 +150,9 @@ def _one_testability(gr: TransitionGraph) -> Verdict:
     return Verdict(ONE_TESTABILITY, YES)
 
 
-def _k_testability(ts: TransitionSemigroup, k: int, t: int, budget: int) -> Verdict:
-    columns = ts.label_to_generator
-    initial, table, product = _cayley_fold(ts.semigroup, columns)
-    res = profile_determines(initial, table, len(columns), k, t, budget, product)
+def _k_testability(fold, alphabet_size: int, k: int, t: int, budget: int) -> Verdict:
+    initial, table, product = fold
+    res = profile_determines(initial, table, alphabet_size, k, t, budget, product)
     if res.status == "yes":
         return Verdict(K_TESTABILITY, YES, None, f"k={k}, t={t}: {res.states} profile states")
     if res.status == "no":
@@ -197,12 +194,13 @@ def analyze_graph(gr: TransitionGraph, properties=None, *, order: bool = False,
             verdicts.append(_one_testability(completed))
         else:
             verdicts.append(_with_witness_words(_check(ts.semigroup, p), ts))
-    if k is not None:
-        verdicts.append(_k_testability(ts, k, t, budget))
     order_result = None
-    if order:
-        order_result = _order_search(ts.semigroup, ts.label_to_generator, k_max, t,
-                                     budget)
+    if order or k is not None:
+        fold = _cayley_fold(ts.semigroup, ts.label_to_generator)
+        if k is not None:
+            verdicts.append(_k_testability(fold, completed.alphabet_size, k, t, budget))
+        if order:
+            order_result = _order_search(fold, completed.alphabet_size, k_max, t, budget)
     descriptor: dict = {"kind": "graph"}
     if source:
         descriptor["source"] = source

@@ -186,7 +186,7 @@ def parse_graph(text: str) -> TransitionGraph:
         raise NonpositiveHeader(f"node count {g} must be positive",
                                 *nums.where(1), str(g))
     cells = _cells(nums, g * a, UNDEFINED, g - 1, "transition target", "transition")
-    return TransitionGraph._of_columns(a, g, (cells[c::a] for c in range(a)))
+    return TransitionGraph._of_columns(cells[c::a] for c in range(a))
 
 
 def parse_semigroup(text: str) -> FiniteSemigroup:

@@ -121,14 +121,14 @@ class TransitionGraph:
         self.columns = tuple(zip(*rows))
 
     @classmethod
-    def _of_columns(cls, alphabet_size: int, node_count: int, columns):
-        """The builders' path, unchecked: ``alphabet_size`` columns of
-        ``node_count`` ints, each in -1..node_count-1.  Only a parsed
-        table whose cells were range-checked, or a graph built from
-        valid graphs, may come this way."""
+    def _of_columns(cls, columns):
+        """The builders' path, unchecked: one or more columns of equal
+        length, which fix both sizes, of ints in -1..length-1.  Only a
+        parsed table whose cells were range-checked, or a graph built
+        from valid graphs, may come this way."""
         gr = cls.__new__(cls)
-        gr.alphabet_size, gr.node_count = alphabet_size, node_count
         gr.columns = tuple(map(tuple, columns))
+        gr.alphabet_size, gr.node_count = len(gr.columns), len(gr.columns[0])
         return gr
 
     @property
@@ -232,15 +232,13 @@ class FiniteSemigroup:
     def product(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.row(x) for x in range(self.element_count))
 
-    def __eq__(self, other):
+    def __eq__(self, other):  # the rows fix both counts
         if not isinstance(other, FiniteSemigroup):
             return NotImplemented
-        return (self.element_count == other.element_count
-                and self.generator_count == other.generator_count
-                and self.cayley == other.cayley)
+        return self.cayley == other.cayley
 
     def __hash__(self):
-        return hash((self.element_count, self.generator_count, self.cayley))
+        return hash(self.cayley)
 
     def __repr__(self):
         return f"FiniteSemigroup(elements={self.element_count}, generators={self.generator_count})"

@@ -298,9 +298,10 @@ def profile_determines(initial, rows, alphabet_size: int, k: int, t: int = 1,
     fails, and the search answers as it would without ``product``.
 
     Runs a breadth-first closure of (profile, value) pairs.  Profiles
-    are numbered in discovery order, so the queue is a walk over those
-    ids; state 0 is the empty word.  Until a conflict is seen each
-    profile carries exactly one value, kept with its key; the first
+    are numbered in discovery order, and the queue walks their keys in
+    that order; state 0 is the empty word.  Until a conflict is seen
+    each profile carries exactly one value, kept once, in ``seen`` under
+    its key, and read back when the queue reaches the key; the first
     conflicting step, in BFS order with letters ascending, yields a
     deterministic shortest-first witness pair reconstructed through
     parent links.  Reaching ``budget`` states before the search settles
@@ -407,23 +408,24 @@ def profile_determines(initial, rows, alphabet_size: int, k: int, t: int = 1,
         return tuple(reversed(out))
 
     def k_letter_words():
-        """The k-letter words in code order, each entered into ``seen``
-        when the queue reaches it.  A (k - 1)-letter word's prefix and
-        suffix fields both hold its code."""
+        """The keys of the k-letter words in code order, each entered
+        into ``seen`` when the queue reaches it.  A (k - 1)-letter
+        word's prefix and suffix fields both hold its code."""
         for code, value in enumerate(levels[-1]):
             key = code << sbits | code
             for (slot, full, unit, shift, _), reached in zip(moves[key & field], rows[value]):
                 head = (key if key & slot == full else key + unit) + shift
                 seen[head] = reached
-                yield head, reached
+                yield head
 
     seen = {}    # key -> value, for the words of k letters or more
-    keys, values, parent = [], [], []    # the longer words, in discovery order
+    keys, parent = [], []    # the longer words, in discovery order
     found = numbered
     missing = object()
     link = (short - 1) * alphabet_size
-    for states in (k_letter_words(), zip(keys, values)):
-        for key, value in states:
+    for states in (k_letter_words(), keys):
+        for key in states:
+            value = seen[key]
             link += alphabet_size
             for (slot, full, unit, shift, letter), reached in zip(moves[key & field], rows[value]):
                 target = (key if key & slot == full else key + unit) + shift
@@ -434,7 +436,6 @@ def profile_determines(initial, rows, alphabet_size: int, k: int, t: int = 1,
                     seen[target] = reached
                     found += 1
                     keys.append(target)
-                    values.append(reached)
                     parent.append(link + letter)
                 elif old != reached:
                     pid = link // alphabet_size

@@ -55,6 +55,5 @@ def graph_direct_product(gr1: TransitionGraph, gr2: TransitionGraph) -> Transiti
         raise IncompleteInput("direct product needs complete graphs")
     g2 = gr2.node_count
     return TransitionGraph._of_columns(
-        min(gr1.alphabet_size, gr2.alphabet_size), gr1.node_count * g2,
-        ([s + y for s in [c * g2 for c in col1] for y in col2]
-         for col1, col2 in zip(gr1.columns, gr2.columns)))
+        [s + y for s in [c * g2 for c in col1] for y in col2]
+        for col1, col2 in zip(gr1.columns, gr2.columns))

@@ -384,10 +384,11 @@ def _cayley_fold(s: FiniteSemigroup, columns):
     return one, table, lambda x, y: y if x == one else x if y == one else prod(x, y)
 
 
-def _order_search(s: FiniteSemigroup, columns, k_max: int, t: int,
+def _order_search(fold, alphabet_size: int, k_max: int, t: int,
                   budget: int) -> OrderResult:
     """Least window length k <= k_max whose k-profile determines the
-    element every word over ``columns`` folds to in ``s``.
+    value every word over ``alphabet_size`` letters folds to by ``fold``,
+    a ``_cayley_fold``.
 
     Window lengths are tried in increasing order, so a "found" result
     also proves every smaller k fails; ``largest_failing`` reports the
@@ -395,18 +396,16 @@ def _order_search(s: FiniteSemigroup, columns, k_max: int, t: int,
     """
     if k_max < 1:
         raise BadK(f"largest window length {k_max} must be at least 1")
-    initial, table, product = _cayley_fold(s, columns)
-    states = 0
+    initial, table, product = fold
     for k in range(1, k_max + 1):
-        res = profile_determines(initial, table, len(columns), k, t, budget, product)
-        states = res.states
+        res = profile_determines(initial, table, alphabet_size, k, t, budget, product)
         if res.status == "yes":
-            return OrderResult("found", k, t, k_max, k - 1, states,
+            return OrderResult("found", k, t, k_max, k - 1, res.states,
                                f"profile oracle succeeds at k={k}")
         if res.status == "unknown":
-            return OrderResult("unknown", None, t, k_max, k - 1, states,
+            return OrderResult("unknown", None, t, k_max, k - 1, res.states,
                                f"budget exceeded at k={k}")
-    return OrderResult("none", None, t, k_max, k_max, states,
+    return OrderResult("none", None, t, k_max, k_max, res.states,
                        f"every k up to {k_max} fails")
 
 
@@ -463,7 +462,8 @@ def analyze_semigroup(s: FiniteSemigroup, properties=None, *, order: bool = Fals
     order_result = None
     stats = {"elements": s.element_count, "generators": s.generator_count}
     if order:
-        order_result = _order_search(s, range(s.generator_count), k_max, 1, budget)
+        order_result = _order_search(_cayley_fold(s, range(s.generator_count)),
+                                     s.generator_count, k_max, 1, budget)
         stats["oracle_states"] = order_result.states
     descriptor: dict = {"kind": "semigroup"}
     if source:

@@ -389,6 +389,29 @@ def test_order_with_threshold():
     assert analyze_graph(CHAIN3, (), order=True, t=2).order.k == 1
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_k_and_order_share_one_fold(monkeypatch, k):
+    """``--k`` and ``--order`` together fold words over one Cayley
+    fold, built once, and give what separate runs give.  The spy sits in
+    both modules that name ``_cayley_fold``."""
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return fold(*args)
+
+    fold = semigroups._cayley_fold
+    for gr in (FIX.D_ab, FIX.D_parity, CHAIN3, TransitionGraph(2, 2, ((0, -1), (1, 1)))):
+        alone = (analyze_graph(gr, (), k=k).verdicts, analyze_graph(gr, (), order=True).order)
+        with monkeypatch.context() as patch:
+            patch.setattr(graphs, "_cayley_fold", spy)
+            patch.setattr(semigroups, "_cayley_fold", spy)
+            both = analyze_graph(gr, (), k=k, order=True)
+        assert len(built) == 1
+        built.clear()
+        assert (both.verdicts, both.order) == alone
+
+
 def test_graph_property_examples():
     assert analyze_graph(FIX.D_ab, [LOCAL_TESTABILITY]).verdicts[0].holds == "yes"
     v = analyze_graph(FIX.D_ab, ["piecewise_testability"]).verdicts[0]

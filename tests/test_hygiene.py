@@ -8,7 +8,8 @@ to the next; the public surface is exactly what
 exported or used; every name the benchmark's tracer wraps still
 exists; the README's Library section names only what the package
 exports; no package line is longer than 99 characters; only the
-trusted builders call the unchecked constructors."""
+trusted builders call the unchecked constructors, and only the memo's
+writers store a verdict."""
 
 import ast
 import dataclasses
@@ -243,14 +244,20 @@ def test_every_package_function_is_used():
     assert unused == [], f"defined but never named: {unused}"
 
 
-def _unchecked_calls(tree):
-    """(unchecked path, enclosing function) for each call in ``tree`` to
-    ``TransitionGraph._of_columns`` or that hands ``FiniteSemigroup``
-    its ``_steps``; "<module>" outside any function."""
+def _owners(tree):
+    """Node -> the name of the innermost function enclosing it."""
     owner = {}
     for fn in ast.walk(tree):    # breadth first, so a nested function wins
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+    return owner
+
+
+def _unchecked_calls(tree):
+    """(unchecked path, enclosing function) for each call in ``tree`` to
+    ``TransitionGraph._of_columns`` or that hands ``FiniteSemigroup``
+    its ``_steps``; "<module>" outside any function."""
+    owner = _owners(tree)
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -271,6 +278,28 @@ def test_unchecked_constructors_have_only_their_trusted_callers():
     assert found == {("_of_columns", "parse_graph"), ("_of_columns", "complete_with_sink"),
                      ("_of_columns", "graph_direct_product"),
                      ("_steps", "transition_semigroup")}
+
+
+def _verdict_writes(tree):
+    """The enclosing function ("<module>" outside any) of each store
+    into, or deletion from, a ``._verdicts[...]`` subscript in ``tree``."""
+    owner = _owners(tree)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "_verdicts"):
+            yield owner.get(node, "<module>")
+
+
+def test_only_the_memo_writers_store_verdicts():
+    """A semigroup's verdict memo is filled by ``semigroups._check``,
+    which runs each check once per value, and by the two builders whose
+    tables are associative by construction: ``transition_semigroup`` and
+    ``semigroup_direct_product`` store Light's "yes".  A verdict stored
+    anywhere else could stand for a check that never ran."""
+    found = {(path.stem, fn) for path in sorted(PACKAGE.glob("*.py"))
+             for fn in _verdict_writes(ast.parse(path.read_text()))}
+    assert found == {("semigroups", "_check"), ("graphs", "transition_semigroup"),
+                     ("products", "semigroup_direct_product")}
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():

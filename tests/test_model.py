@@ -94,6 +94,8 @@ def test_semigroup_equality_ignores_caches():
     assert a == b
     assert hash(a) == hash(b)
     assert a != FIX.U1
+    assert (a == object()) is False and (a != object()) is True
+    assert len({a, b, FIX.U1}) == 2
 
 
 def test_graph_rejects_bad_shapes():
@@ -240,7 +242,8 @@ def test_rows_and_columns_build_equal_graphs():
         rows = naive.rows_of((random_partial_graph if rng.random() < 0.5 else random_graph)(
             rng, g, a))
         by_rows = TransitionGraph(a, g, iter(rows))
-        by_columns = TransitionGraph._of_columns(a, g, map(list, zip(*rows)))
+        by_columns = TransitionGraph._of_columns(map(list, zip(*rows)))
+        assert (by_columns.alphabet_size, by_columns.node_count) == (a, g)
         assert by_rows == by_columns and hash(by_rows) == hash(by_columns)
         assert by_rows.columns == by_columns.columns == tuple(zip(*rows))
         assert naive.rows_of(by_columns) == naive.graph_rows(a, g, rows)
